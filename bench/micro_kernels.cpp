@@ -418,6 +418,77 @@ void BM_ConfidenceReplicates(benchmark::State& state) {
 BENCHMARK(BM_ConfidenceReplicates)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+/// The per-row scrub-and-slice that BM_ValidateSlice's Arg(0) freezes: each
+/// surviving row gathered and pushed column by column onto six growing
+/// vectors, once by the scrub (default ValidationOptions) and again by the
+/// slice, whose predicate sees the record through std::function.
+telemetry::Dataset per_row_validate_slice(const telemetry::Dataset& input,
+                                          telemetry::ActionType action) {
+  struct Columns {
+    std::vector<std::int64_t> time;
+    std::vector<double> latency;
+    std::vector<std::uint64_t> user_id;
+    std::vector<telemetry::ActionType> action;
+    std::vector<telemetry::UserClass> user_class;
+    std::vector<telemetry::ActionStatus> status;
+
+    void push(const telemetry::ActionRecord& r) {
+      time.push_back(r.time_ms);
+      latency.push_back(r.latency_ms);
+      user_id.push_back(r.user_id);
+      action.push_back(r.action);
+      user_class.push_back(r.user_class);
+      status.push_back(r.status);
+    }
+    telemetry::Dataset adopt() {
+      telemetry::Dataset out;
+      out.adopt_columns(std::move(time), std::move(latency), std::move(user_id),
+                        std::move(action), std::move(user_class), std::move(status));
+      return out;
+    }
+  };
+  const telemetry::ValidationOptions options;
+  Columns scrubbed;
+  const auto times = input.times();
+  const auto latencies = input.latencies();
+  const auto statuses = input.statuses();
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (times[i] < options.min_time_ms || !std::isfinite(latencies[i]) ||
+        statuses[i] == telemetry::ActionStatus::kError ||
+        latencies[i] <= options.min_latency_ms || latencies[i] > options.max_latency_ms) {
+      continue;
+    }
+    scrubbed.push(input[i]);
+  }
+  const telemetry::Dataset valid = scrubbed.adopt();
+  const std::function<bool(const telemetry::ActionRecord&)> predicate =
+      [action](const telemetry::ActionRecord& r) { return r.action == action; };
+  Columns sliced;
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    const telemetry::ActionRecord record = valid[i];
+    if (predicate(record)) sliced.push(record);
+  }
+  return sliced.adopt();
+}
+
+/// Scrub + slice on the shared 1M-record dataset, the glue in front of every
+/// curve: Arg(0) the frozen per-row copy loops above, Arg(1) validate()'s row
+/// selection and filtered()'s action-column scan plus one exact gather.
+void BM_ValidateSlice(benchmark::State& state) {
+  const auto& dataset = million_record_dataset();
+  const bool selection = state.range(0) != 0;
+  constexpr auto kAction = telemetry::ActionType::kSelectMail;
+  for (auto _ : state) {
+    const telemetry::Dataset slice =
+        selection ? telemetry::validate(dataset).dataset.filtered(telemetry::by_action(kAction))
+                  : per_row_validate_slice(dataset, kAction);
+    benchmark::DoNotOptimize(slice.times().data());
+  }
+  state.SetLabel(selection ? "selection" : "per_row");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(dataset.size()));
+}
+BENCHMARK(BM_ValidateSlice)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // ---------------------------------------------------------------------------
 // Ingest engine (BENCH_ingest.json), fig3-scale (1M records). Arg(0) is the
 // seed path — getline row-by-row for the text formats, serial ASL1 varint

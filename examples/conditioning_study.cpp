@@ -53,8 +53,8 @@ int main() {
         {telemetry::by_action(telemetry::ActionType::kSelectMail),
          quartiles.in_quartile(static_cast<int>(q))}));
     const auto statistic = [&](std::span<const std::size_t> indices) {
-      telemetry::Dataset resampled;
-      for (const auto idx : indices) resampled.append_from(slice, idx);
+      const std::vector<std::uint32_t> rows(indices.begin(), indices.end());
+      telemetry::Dataset resampled = slice.gather(rows);
       resampled.sort_by_time();
       try {
         const auto result = core::analyze(resampled, options);

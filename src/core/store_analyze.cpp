@@ -2,10 +2,12 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/biased.h"
 #include "core/pipeline.h"
 #include "stats/rng.h"
+#include "telemetry/filter.h"
 
 namespace autosens::core {
 
@@ -33,10 +35,10 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
       dataset = telemetry::validate(dataset, stream.validation).dataset;
     }
     if (stream.action.has_value() || stream.user_class.has_value()) {
-      dataset = dataset.filtered([&](const telemetry::ActionRecord& r) {
-        return (!stream.action.has_value() || r.action == *stream.action) &&
-               (!stream.user_class.has_value() || r.user_class == *stream.user_class);
-      });
+      std::vector<telemetry::RecordPredicate> slice;
+      if (stream.action) slice.push_back(telemetry::by_action(*stream.action));
+      if (stream.user_class) slice.push_back(telemetry::by_user_class(*stream.user_class));
+      dataset = dataset.filtered(telemetry::all_of(std::move(slice)));
     }
     result.records = dataset.size();
     if (!dataset.empty()) {

@@ -34,7 +34,7 @@ struct StoreStreamOptions {
   /// Scrub each window with telemetry::validate before analysis (the same
   /// record-local policy the batch CLI applies up front, so per-window
   /// scrubbing equals scrubbing the whole dataset first). Stores built from
-  /// already-validated data can turn this off to skip the copy.
+  /// already-validated data can turn this off to skip the scan.
   bool scrub = true;
   telemetry::ValidationOptions validation;
   /// Optional slice filters applied to each window before analysis.

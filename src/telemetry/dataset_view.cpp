@@ -6,7 +6,7 @@
 namespace autosens::telemetry {
 
 DatasetView::DatasetView(const Dataset& parent, std::vector<Block> blocks)
-    : parent_(&parent), blocks_(std::move(blocks)) {
+    : parent_(&parent), parent_columns_(parent.columns()), blocks_(std::move(blocks)) {
   if (!parent.is_sorted()) {
     throw std::invalid_argument("DatasetView: parent dataset not sorted");
   }
@@ -38,7 +38,7 @@ ActionRecord DatasetView::operator[](std::size_t i) const noexcept {
 std::int64_t DatasetView::begin_time() const {
   for (const auto& block : blocks_) {
     if (block.last > block.first) {
-      return parent_->times()[block.first] + block.time_shift;
+      return parent_columns_.times[block.first] + block.time_shift;
     }
   }
   throw std::runtime_error("DatasetView::begin_time: empty view");
@@ -47,7 +47,7 @@ std::int64_t DatasetView::begin_time() const {
 std::int64_t DatasetView::end_time() const {
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
     if (it->last > it->first) {
-      return parent_->times()[it->last - 1] + it->time_shift + 1;
+      return parent_columns_.times[it->last - 1] + it->time_shift + 1;
     }
   }
   throw std::runtime_error("DatasetView::end_time: empty view");
@@ -57,8 +57,8 @@ void DatasetView::ensure_columns() const {
   if (materialized_) return;
   times_ = stats::PooledVector<std::int64_t>(size_);
   latencies_ = stats::PooledVector<double>(size_);
-  const auto parent_times = parent_->times();
-  const auto parent_latencies = parent_->latencies();
+  const auto parent_times = parent_columns_.times;
+  const auto parent_latencies = parent_columns_.latencies;
   std::size_t out = 0;
   for (const auto& block : blocks_) {
     for (std::size_t i = block.first; i < block.last; ++i, ++out) {

@@ -7,7 +7,9 @@
 //
 // Lifetime rules (DESIGN.md "Data layout & memory model"): the view borrows
 // the parent Dataset — the parent must outlive the view, and any
-// add()/sort_by_time() on the parent invalidates it. The time/latency columns
+// add()/sort_by_time() on the parent invalidates it. The view takes the
+// parent's time/latency spans once at construction (compacting a selection
+// parent there, before any parallel replicate loop reads it). The time/latency columns
 // a view hands out are materialized on first access into buffers borrowed
 // from the scratch pool and returned when the view dies; first access is not
 // thread-safe (each bootstrap replicate owns its view).
@@ -64,6 +66,7 @@ class DatasetView {
   std::size_t block_of(std::size_t i) const noexcept;
 
   const Dataset* parent_;
+  SampleColumns parent_columns_;
   std::vector<Block> blocks_;
   std::vector<std::size_t> offsets_;  ///< Prefix sums; offsets_[b] = view index of blocks_[b].first.
   std::size_t size_ = 0;

@@ -6,39 +6,45 @@
 
 namespace autosens::telemetry {
 
+namespace {
+
+RecordPredicate column_term(RecordPredicate::Term::Kind kind, std::int64_t value,
+                            std::int64_t end_ms = 0) {
+  return RecordPredicate(
+      {RecordPredicate::Term{.kind = kind, .value = value, .end_ms = end_ms, .record = {}}});
+}
+
+}  // namespace
+
 RecordPredicate by_action(ActionType type) {
-  return [type](const ActionRecord& r) { return r.action == type; };
+  return column_term(RecordPredicate::Term::Kind::kAction, static_cast<std::int64_t>(type));
 }
 
 RecordPredicate by_user_class(UserClass user_class) {
-  return [user_class](const ActionRecord& r) { return r.user_class == user_class; };
+  return column_term(RecordPredicate::Term::Kind::kUserClass,
+                     static_cast<std::int64_t>(user_class));
 }
 
 RecordPredicate by_status(ActionStatus status) {
-  return [status](const ActionRecord& r) { return r.status == status; };
+  return column_term(RecordPredicate::Term::Kind::kStatus, static_cast<std::int64_t>(status));
 }
 
 RecordPredicate by_period(DayPeriod period) {
-  return [period](const ActionRecord& r) { return day_period(r.time_ms) == period; };
+  return column_term(RecordPredicate::Term::Kind::kPeriod, static_cast<std::int64_t>(period));
 }
 
 RecordPredicate by_month(std::int64_t month) {
-  return [month](const ActionRecord& r) { return month_index(r.time_ms) == month; };
+  return column_term(RecordPredicate::Term::Kind::kMonth, month);
 }
 
 RecordPredicate by_time_range(std::int64_t begin_ms, std::int64_t end_ms) {
-  return [begin_ms, end_ms](const ActionRecord& r) {
-    return r.time_ms >= begin_ms && r.time_ms < end_ms;
-  };
+  return column_term(RecordPredicate::Term::Kind::kTimeRange, begin_ms, end_ms);
 }
 
 RecordPredicate all_of(std::vector<RecordPredicate> predicates) {
-  return [predicates = std::move(predicates)](const ActionRecord& r) {
-    for (const auto& p : predicates) {
-      if (!p(r)) return false;
-    }
-    return true;
-  };
+  RecordPredicate conjunction;
+  for (auto& predicate : predicates) conjunction &= std::move(predicate);
+  return conjunction;
 }
 
 UserQuartiles::UserQuartiles(const Dataset& dataset)

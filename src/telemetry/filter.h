@@ -1,11 +1,12 @@
 // Composable record predicates and the slicing helpers the evaluation uses:
 // by action type (§3.2), by user class (§3.3), by per-user median-latency
-// quartile (§3.4), by 6-hour period (§3.6), and by month (§3.7).
+// quartile (§3.4), by 6-hour period (§3.6), and by month (§3.7). All but the
+// quartile test are column terms (see RecordPredicate in dataset.h), so
+// Dataset::filtered evaluates them by scanning one column each.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,8 +16,6 @@
 
 namespace autosens::telemetry {
 
-using RecordPredicate = std::function<bool(const ActionRecord&)>;
-
 RecordPredicate by_action(ActionType type);
 RecordPredicate by_user_class(UserClass user_class);
 RecordPredicate by_status(ActionStatus status);
@@ -24,7 +23,7 @@ RecordPredicate by_period(DayPeriod period);
 RecordPredicate by_month(std::int64_t month);
 RecordPredicate by_time_range(std::int64_t begin_ms, std::int64_t end_ms);
 
-/// Logical AND of predicates.
+/// Logical AND of predicates: their terms, concatenated in order.
 RecordPredicate all_of(std::vector<RecordPredicate> predicates);
 
 /// Per-user median-latency quartile assignment. Users are ranked by their
@@ -49,7 +48,8 @@ class UserQuartiles {
     return assignment_.contains(user_id);
   }
 
-  /// Predicate matching records of users in quartile q.
+  /// Predicate matching records of users in quartile q (a generic term: it
+  /// looks up each gathered record's user).
   RecordPredicate in_quartile(int q) const;
 
   /// Median-latency boundaries between quartiles (3 values: q25, q50, q75).

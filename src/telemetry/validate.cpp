@@ -1,9 +1,13 @@
 #include "telemetry/validate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "stats/scratch.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -76,42 +80,58 @@ std::string ValidationReport::one_line() const {
 
 ValidatedDataset validate(const Dataset& input, const ValidationOptions& options) {
   ValidatedDataset result;
-  result.report.total = input.size();
-  // Every check reads only time, latency, and status, so scan those columns
-  // directly and copy survivors column-to-column — no ActionRecord
-  // materialization on the hot path.
+  ValidationReport& report = result.report;
+  report.total = input.size();
+  // Every check reads only time, latency, and status: one scan of those
+  // columns writes the surviving row ids, and the result selects them from
+  // the input's columns instead of copying any record. The keep test is
+  // branch-free; the rare dropped row is then charged to the first check it
+  // fails, in the order below.
+  if (input.size() > Dataset::kMaxRows) {
+    throw std::length_error("validate: more rows than 32-bit row ids can address");
+  }
   const auto times = input.times();
   const auto latencies = input.latencies();
   const auto statuses = input.statuses();
+  // Pooled: the selection gives the buffer back when it compacts or dies.
+  std::vector<std::uint32_t> rows = stats::ScratchPool<std::uint32_t>::take();
+  rows.resize(times.size());
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] < options.min_time_ms) {
-      ++result.report.dropped_bad_timestamp;
-      continue;
+    const std::int64_t t = times[i];
+    const double latency = latencies[i];
+    const bool error = options.successful_only && statuses[i] == ActionStatus::kError;
+    const bool keep = (t >= options.min_time_ms) & (t >= options.window_begin_ms) &
+                      (t < options.window_end_ms) & std::isfinite(latency) & !error &
+                      (latency > options.min_latency_ms) & (latency <= options.max_latency_ms);
+    rows[kept] = static_cast<std::uint32_t>(i);
+    kept += keep ? 1 : 0;
+    if (keep) continue;
+    if (t < options.min_time_ms) {
+      ++report.dropped_bad_timestamp;
+    } else if (t < options.window_begin_ms || t >= options.window_end_ms) {
+      ++report.dropped_out_of_window;
+    } else if (!std::isfinite(latency)) {
+      ++report.dropped_nonfinite_latency;
+    } else if (error) {
+      ++report.dropped_error_status;
+    } else if (latency <= options.min_latency_ms) {
+      ++report.dropped_nonpositive_latency;
+    } else {
+      ++report.dropped_excessive_latency;
     }
-    if (times[i] < options.window_begin_ms || times[i] >= options.window_end_ms) {
-      ++result.report.dropped_out_of_window;
-      continue;
-    }
-    if (!std::isfinite(latencies[i])) {
-      ++result.report.dropped_nonfinite_latency;
-      continue;
-    }
-    if (options.successful_only && statuses[i] == ActionStatus::kError) {
-      ++result.report.dropped_error_status;
-      continue;
-    }
-    if (latencies[i] <= options.min_latency_ms) {
-      ++result.report.dropped_nonpositive_latency;
-      continue;
-    }
-    if (latencies[i] > options.max_latency_ms) {
-      ++result.report.dropped_excessive_latency;
-      continue;
-    }
-    result.dataset.append_from(input, i);
   }
-  result.report.kept = result.dataset.size();
-  result.dataset.sort_by_time();
+  rows.resize(kept);
+  report.kept = kept;
+  if (input.is_sorted()) {
+    result.dataset = input.select(std::move(rows));
+  } else {
+    // Stable by time, so equal times keep input order (as sort_by_time).
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&times](std::uint32_t a, std::uint32_t b) { return times[a] < times[b]; });
+    result.dataset = input.gather(rows);
+    stats::ScratchPool<std::uint32_t>::give(std::move(rows));
+  }
 
   auto& m = metrics();
   m.total.inc(result.report.total);

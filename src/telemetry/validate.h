@@ -49,7 +49,10 @@ struct ValidationReport {
 
 /// Result of scrubbing.
 struct ValidatedDataset {
-  Dataset dataset;  ///< Kept records, sorted by time.
+  /// Kept records, sorted by time. For a sorted input this is a selection
+  /// sharing the input's columns (see Dataset), so it copies no record and
+  /// pins those columns until its first column-span access compacts it.
+  Dataset dataset;
   ValidationReport report;
 };
 

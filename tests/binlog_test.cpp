@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "stats/rng.h"
+#include "temp_path.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -288,7 +289,7 @@ TEST(BinlogTest, V2EmptyFramesProduceEmptyDataset) {
 
 TEST(BinlogTest, FileRoundtrip) {
   const auto dataset = random_dataset(300, 7);
-  const std::string path = ::testing::TempDir() + "/autosens_binlog_test.bin";
+  const std::string path = autosens::test_support::temp_path("roundtrip.bin").string();
   write_binlog_file(path, dataset);
   const auto decoded = read_binlog_file(path);
   ASSERT_EQ(decoded.size(), dataset.size());

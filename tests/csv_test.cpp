@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "temp_path.h"
+
 namespace autosens::telemetry {
 namespace {
 
@@ -115,7 +117,7 @@ TEST(CsvTest, ResultIsSortedByTime) {
 
 TEST(CsvTest, FileRoundtrip) {
   const auto original = sample_dataset();
-  const std::string path = ::testing::TempDir() + "/autosens_csv_test.csv";
+  const std::string path = autosens::test_support::temp_path("roundtrip.csv").string();
   write_csv_file(path, original);
   const auto result = read_csv_file(path);
   EXPECT_TRUE(result.errors.empty());

@@ -119,15 +119,17 @@ TEST(DatasetTest, RecordsRoundTripsAllColumns) {
   EXPECT_EQ(records[0].status, ActionStatus::kSuccess);
 }
 
-TEST(DatasetTest, AppendFromCopiesWholeRows) {
+TEST(DatasetTest, GatherCopiesWholeRows) {
   const Dataset source({make_record(1, 10.0, 5), make_record(2, 20.0, 6)});
-  Dataset out;
-  out.append_from(source, 1);
-  out.append_from(source, 0);
-  ASSERT_EQ(out.size(), 2u);
+  const std::vector<std::uint32_t> rows{1, 0, 1};
+  const Dataset out = source.gather(rows);
+  ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].time_ms, 2);
   EXPECT_EQ(out[1].user_id, 5u);
+  EXPECT_EQ(out[2], source[1]);
   EXPECT_FALSE(out.is_sorted());
+  EXPECT_TRUE(source.gather(std::vector<std::uint32_t>{0, 0, 1}).is_sorted());
+  EXPECT_THROW(source.gather(std::vector<std::uint32_t>{2}), std::out_of_range);
 }
 
 TEST(DatasetTest, FilteredKeepsMatchingRecords) {

@@ -21,6 +21,7 @@
 #include "telemetry/csv.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/logdir.h"
+#include "temp_path.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -241,7 +242,7 @@ TEST(NewlineChunkBoundsTest, SingleGiantLineYieldsOneEffectiveChunk) {
 // other non-seekable inputs.
 
 TEST(MappedFileTest, RegularFileIsMapped) {
-  const std::string path = ::testing::TempDir() + "/autosens_ingest_mapped.csv";
+  const std::string path = autosens::test_support::temp_path("mapped.csv").string();
   {
     std::ofstream out(path);
     out << "hello mapped world\n";
@@ -257,7 +258,7 @@ TEST(MappedFileTest, MissingFileThrows) {
 }
 
 TEST(MappedFileTest, FifoFallsBackToRead) {
-  const std::string path = ::testing::TempDir() + "/autosens_ingest_fifo";
+  const std::string path = autosens::test_support::temp_path("fifo").string();
   std::remove(path.c_str());
   ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
   const std::string payload =
@@ -275,7 +276,7 @@ TEST(MappedFileTest, FifoFallsBackToRead) {
 }
 
 TEST(MappedFileTest, FifoIsNotMapped) {
-  const std::string path = ::testing::TempDir() + "/autosens_ingest_fifo2";
+  const std::string path = autosens::test_support::temp_path("fifo2").string();
   std::remove(path.c_str());
   ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
   std::thread writer([&] {
@@ -345,7 +346,7 @@ TEST(BinlogIngestTest, V2RejectsCountMismatch) {
 
 TEST(LogdirIngestTest, ShardedReadIdenticalAcrossThreads) {
   const auto dataset = random_dataset(3000, 42);
-  const std::string dir = ::testing::TempDir() + "/autosens_ingest_logdir";
+  const std::string dir = autosens::test_support::temp_path("logdir").string();
   std::filesystem::remove_all(dir);
   const auto paths = write_sharded(dir, dataset, /*records_per_shard=*/500);
   ASSERT_EQ(paths.size(), 6u);

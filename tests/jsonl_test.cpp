@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "temp_path.h"
+
 namespace autosens::telemetry {
 namespace {
 
@@ -115,7 +117,7 @@ TEST(JsonlTest, OutputIsSortedByTime) {
 
 TEST(JsonlTest, FileRoundtrip) {
   const auto original = sample_dataset();
-  const std::string path = ::testing::TempDir() + "/autosens_jsonl_test.jsonl";
+  const std::string path = autosens::test_support::temp_path("roundtrip.jsonl").string();
   write_jsonl_file(path, original);
   const auto result = read_jsonl_file(path);
   EXPECT_TRUE(result.errors.empty());

@@ -8,6 +8,7 @@
 
 #include "stats/rng.h"
 #include "telemetry/binlog.h"
+#include "temp_path.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -26,7 +27,7 @@ Dataset random_dataset(std::size_t n, std::uint64_t seed) {
 }
 
 std::string temp_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  const auto dir = autosens::test_support::temp_path(name);
   std::filesystem::remove_all(dir);
   return dir.string();
 }

@@ -23,6 +23,7 @@
 #include "telemetry/store/store.h"
 #include "telemetry/store/writer.h"
 #include "telemetry/validate.h"
+#include "temp_path.h"
 
 namespace autosens {
 namespace {
@@ -38,7 +39,7 @@ using telemetry::store::StoredDataset;
 using telemetry::store::StoreOptions;
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  const auto dir = autosens::test_support::temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -16,6 +16,7 @@
 #include "telemetry/store/codec.h"
 #include "telemetry/store/footer.h"
 #include "telemetry/store/writer.h"
+#include "temp_path.h"
 
 namespace autosens::telemetry::store {
 namespace {
@@ -23,7 +24,7 @@ namespace {
 /// Fresh temp directory per test (removed up front so write-once stores can
 /// be rebuilt across runs).
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  const auto dir = autosens::test_support::temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -281,7 +282,7 @@ TEST(StoreTest, BinlogRoundtripGolden) {
   build_store(dataset, dir_a.string(), options);
 
   const StoredDataset store_a = StoredDataset::open(dir_a.string());
-  const std::string binlog = ::testing::TempDir() + "/store_golden.bin";
+  const std::string binlog = autosens::test_support::temp_path("store_golden.bin").string();
   export_binlog(store_a, binlog, /*batch_size=*/1000);
 
   const auto dir_b = fresh_dir("store_golden_b");
@@ -303,7 +304,7 @@ TEST(StoreTest, BinlogRoundtripGolden) {
 
 TEST(StoreTest, StreamingConverterMatchesFullLoadBuilder) {
   const Dataset dataset = random_dataset(8'000, 18);
-  const std::string binlog = ::testing::TempDir() + "/store_stream.bin";
+  const std::string binlog = autosens::test_support::temp_path("store_stream.bin").string();
   write_binlog_file(binlog, dataset, /*batch_size=*/700);
 
   const StoreOptions options{.partition_rows = 1024, .block_rows = 128, .compress = true};
@@ -321,7 +322,7 @@ TEST(StoreTest, StreamingConverterMatchesFullLoadBuilder) {
 
 TEST(StoreTest, ConverterFallsBackForLegacyV1Binlogs) {
   const Dataset dataset = random_dataset(2'000, 19);
-  const std::string binlog = ::testing::TempDir() + "/store_v1.bin";
+  const std::string binlog = autosens::test_support::temp_path("store_v1.bin").string();
   std::ofstream out(binlog, std::ios::binary | std::ios::trunc);
   write_binlog_v1(out, dataset);
   out.close();

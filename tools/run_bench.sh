@@ -8,7 +8,8 @@
 #                         registry)
 #   BENCH_columnar.json — columnar data-plane kernels (column access, the
 #                         index-view day-block bootstrap, the confidence
-#                         replicate loop)
+#                         replicate loop, and the scrub + slice: the frozen
+#                         per-row copy loops vs the row-selection path)
 #   BENCH_ingest.json   — the parallel zero-copy ingest engine (chunked
 #                         CSV/JSONL parse and the ASL2 columnar binlog load
 #                         vs the seed getline / ASL1-row paths)
@@ -103,17 +104,26 @@ run_filter 'BM_Kernel' "$KERNELS_OUT" \
 run_filter 'ObsAnalyzeOverhead|ObsScrape' "$OBS_OUT"
 # The prechange_* context entries freeze the pre-columnar Release baseline
 # (AoS dataset, copying resample) measured on the same fig3-scale dataset,
-# so the before/after story travels with the JSON.
+# so the before/after story travels with the JSON. The e2e_* entries are the
+# end-to-end figures BM_ValidateSlice's layer moves, before (per_row) and
+# after (selection) the row-selection path: e2ebench analyze_bin's
+# telemetry.validate.ms + telemetry.filter.ms (seed 1, --trace 1) and its
+# op_ms_p50 (median of ten seeds' runs, --trace 0).
 # Arg(0) rows are the seed paths (getline / serial ASL1 decode), so the
 # before/after ratio is computable from the JSON alone.
 run_filter 'Ingest' "$INGEST_OUT"
-run_filter 'DatasetColumns|DayBlockResample|ConfidenceReplicates' "$COLUMNAR_OUT" \
+run_filter 'DatasetColumns|DayBlockResample|ConfidenceReplicates|ValidateSlice' \
+  "$COLUMNAR_OUT" \
   --benchmark_context=prechange_analyze_once_ms=64.9 \
   --benchmark_context=prechange_day_block_resample_ms_per_rep=29.43 \
   --benchmark_context=prechange_confidence50_ms_best_of_3=3088.5 \
   --benchmark_context=postchange_analyze_once_ms=38.4 \
   --benchmark_context=postchange_day_block_resample_ms_per_rep=0.003 \
-  --benchmark_context=postchange_confidence50_ms_best_of_3=1549.5
+  --benchmark_context=postchange_confidence50_ms_best_of_3=1549.5 \
+  --benchmark_context=e2e_analyze_bin_validate_filter_ms_per_row=176.6 \
+  --benchmark_context=e2e_analyze_bin_validate_filter_ms_selection=34.3 \
+  --benchmark_context=e2e_analyze_bin_op_ms_p50_per_row=261.7 \
+  --benchmark_context=e2e_analyze_bin_op_ms_p50_selection=144.0
 # Disk + mmap timings wobble; per-repetition samples feed the store gate's
 # median, like the net sweep.
 run_filter 'BM_Store' "$STORE_OUT" \

@@ -16,6 +16,11 @@
 # --soak to also run the slow-labelled soak tests (ctest -C soak -L slow) in
 # each tree.
 #
+# Each tree then reruns the file-writing suites (ctest label `io`) three
+# times as four concurrent processes (ctest -j4): every test writes under a
+# path private to its pid and name (tests/temp_path.h), and a shared path
+# shows up here as one test deleting another's files.
+#
 # Only the test targets for those labels are built, not the whole tree, so a
 # sanitizer pass stays affordable on a small machine.
 #
@@ -36,13 +41,14 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-# The test executables behind the net/parallel/obs/simd/store ctest labels.
+# The test executables behind the net/parallel/obs/simd/store/io ctest labels.
 targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          net_fault_matrix_test net_trace_test spsc_test net_shard_test
          net_udp_test parallel_test
-         parallel_determinism_test obs_metrics_test obs_trace_test
+         parallel_determinism_test selection_test obs_metrics_test obs_trace_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
-         store_test store_prune_test store_soak_test)
+         store_test store_prune_test store_soak_test
+         csv_test jsonl_test binlog_test ingest_test logdir_test)
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
@@ -55,6 +61,8 @@ run_tree() {
   cmake --build "$dir" -j "$jobs" --target "${targets[@]}"
   echo "=== [$label] ctest -L 'net|parallel|obs|simd|store' ==="
   ctest --test-dir "$dir" -L 'net|parallel|obs|simd|store' -LE slow --output-on-failure -j "$jobs"
+  echo "=== [$label] isolation: ctest -L io -j4, three rounds ==="
+  ctest --test-dir "$dir" -L io -LE slow --output-on-failure -j4 --repeat until-fail:3
   if [[ "$soak" -eq 1 ]]; then
     echo "=== [$label] soak: ctest -C soak -L slow ==="
     ctest --test-dir "$dir" -C soak -L slow --output-on-failure
