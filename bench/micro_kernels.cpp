@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "core/confidence.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/simd.h"
 #include "core/slices.h"
@@ -37,6 +38,7 @@
 #include "simulate/generator.h"
 #include "simulate/presets.h"
 #include "stats/bootstrap.h"
+#include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/rng.h"
 #include "stats/sampling.h"
@@ -375,18 +377,54 @@ void BM_DatasetColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetColumns)->Arg(0)->Arg(1)->UseRealTime();
 
-/// One bootstrap resample: the materializing legacy path (copy every record,
-/// re-sort) vs the index view (O(days) block table).
+/// The deep-copying day-block resampler that Arg(0) of BM_DayBlockResample
+/// and BM_ConfidenceReplicates freeze: the same day ranges and draws as
+/// core::day_block_resample, but every record of every drawn day is copied
+/// with its day moved, and the copy re-sorted.
+telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
+                                           stats::Random& random) {
+  struct DayRange {
+    std::int64_t day = 0;
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+  const auto times = dataset.times();
+  std::vector<DayRange> days;
+  std::size_t cursor = 0;
+  for (std::int64_t day = telemetry::day_index(times.front());
+       day <= telemetry::day_index(times.back()); ++day) {
+    const auto it = std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(cursor),
+                                     times.end(), (day + 1) * telemetry::kMillisPerDay);
+    const auto next = static_cast<std::size_t>(it - times.begin());
+    if (next > cursor) days.push_back({day, cursor, next});
+    cursor = next;
+  }
+  telemetry::Dataset resampled;
+  resampled.reserve(dataset.size());
+  for (std::size_t slot = 0; slot < days.size(); ++slot) {
+    const auto& source = days[random.uniform_index(days.size())];
+    for (std::size_t k = source.first; k < source.last; ++k) {
+      auto record = dataset[k];
+      record.time_ms += (static_cast<std::int64_t>(slot) - source.day) * telemetry::kMillisPerDay;
+      resampled.add(record);
+    }
+  }
+  resampled.sort_by_time();
+  return resampled;
+}
+
+/// One bootstrap resample: the frozen copying resampler (copy every record,
+/// re-sort) vs the library's block table (O(days)).
 void BM_DayBlockResample(benchmark::State& state) {
   const auto& dataset = million_record_dataset();
   const bool by_view = state.range(0) != 0;
   stats::Random random(13);
   for (auto _ : state) {
     if (by_view) {
-      auto view = core::day_block_resample(dataset, random);
-      benchmark::DoNotOptimize(view.size());
+      auto resampled = core::day_block_resample(dataset, random);
+      benchmark::DoNotOptimize(resampled.size());
     } else {
-      auto copy = core::day_block_resample_copy(dataset, random);
+      auto copy = day_block_resample_copy(dataset, random);
       benchmark::DoNotOptimize(copy.size());
     }
   }
@@ -397,21 +435,57 @@ BENCHMARK(BM_DayBlockResample)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The confidence-interval replicate loop end to end: resample + analyze,
-/// 8 replicates per iteration, view vs copy resampling (byte-identical
-/// intervals, very different allocation profiles).
+/// 8 replicates per iteration. Arg(1) is core::analyze_with_confidence;
+/// Arg(0) is the same loop over the frozen copying resampler (same point
+/// estimate, substreams and percentile merge), so the two produce
+/// byte-identical intervals with very different allocation profiles.
 void BM_ConfidenceReplicates(benchmark::State& state) {
   const auto& dataset = million_record_dataset();
-  core::AutoSensOptions options;
-  core::ConfidenceOptions confidence;
-  confidence.replicates = 8;
-  confidence.resample_by_view = state.range(0) != 0;
+  const bool by_view = state.range(0) != 0;
+  const core::AutoSensOptions options;
+  const core::ConfidenceOptions confidence{.replicates = 8};
+  const std::vector<double> probes = {300.0, 500.0, 1000.0};
   for (auto _ : state) {
     stats::Random random(17);
-    auto result = core::analyze_with_confidence(dataset, options, {300.0, 500.0, 1000.0},
-                                                confidence, random);
-    benchmark::DoNotOptimize(result.intervals.data());
+    if (by_view) {
+      auto result = core::analyze_with_confidence(dataset, options, probes, confidence, random);
+      benchmark::DoNotOptimize(result.intervals.data());
+      continue;
+    }
+    auto point = core::analyze(dataset, options);
+    benchmark::DoNotOptimize(point.normalized.data());
+    const std::uint64_t stream_base = random.engine()();
+    std::vector<std::vector<std::optional<double>>> at_probe(confidence.replicates);
+    core::parallel_for_items(confidence.replicates, options.threads, [&](std::size_t r) {
+      stats::Random substream(stats::substream_seed(stream_base, r));
+      try {
+        const auto curve = core::analyze(day_block_resample_copy(dataset, substream), options);
+        for (const double probe : probes) {
+          at_probe[r].push_back(curve.covers(probe) ? std::optional(curve.at(probe))
+                                                    : std::nullopt);
+        }
+      } catch (const std::invalid_argument&) {
+        // Degenerate resample: contributes nothing, as in the library.
+      }
+    });
+    const double alpha = 1.0 - confidence.confidence;
+    std::vector<stats::Interval> intervals;
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      std::vector<double> draws;
+      for (const auto& slot : at_probe) {
+        if (p < slot.size() && slot[p]) draws.push_back(*slot[p]);
+      }
+      if (draws.size() < 2) {
+        const double at = point.covers(probes[p]) ? point.at(probes[p]) : 0.0;
+        intervals.push_back({at, at});
+      } else {
+        intervals.push_back({stats::quantile(draws, alpha / 2.0),
+                             stats::quantile(draws, 1.0 - alpha / 2.0)});
+      }
+    }
+    benchmark::DoNotOptimize(intervals.data());
   }
-  state.SetLabel(confidence.resample_by_view ? "view" : "copy");
+  state.SetLabel(by_view ? "view" : "copy");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(confidence.replicates));
 }

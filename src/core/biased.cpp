@@ -33,9 +33,4 @@ stats::Histogram biased_histogram(std::span<const double> latencies,
       merge_and_recycle);
 }
 
-stats::Histogram biased_histogram(const telemetry::Dataset& dataset,
-                                  const AutoSensOptions& options) {
-  return biased_histogram(dataset.latencies(), options);
-}
-
 }  // namespace autosens::core

@@ -7,7 +7,6 @@
 
 #include "core/options.h"
 #include "stats/histogram.h"
-#include "telemetry/dataset.h"
 
 namespace autosens::core {
 
@@ -24,10 +23,6 @@ void merge_and_recycle(stats::Histogram& accumulator, stats::Histogram&& partial
 
 /// B from raw latencies (unit weight each).
 stats::Histogram biased_histogram(std::span<const double> latencies,
-                                  const AutoSensOptions& options);
-
-/// B from a dataset.
-stats::Histogram biased_histogram(const telemetry::Dataset& dataset,
                                   const AutoSensOptions& options);
 
 }  // namespace autosens::core

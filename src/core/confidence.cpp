@@ -22,8 +22,7 @@ struct DayRange {
 
 /// Non-empty day ranges via binary search over the sorted times column —
 /// O(days · log records) rather than a full record scan.
-std::vector<DayRange> day_ranges(const telemetry::Dataset& dataset) {
-  const auto times = dataset.times();
+std::vector<DayRange> day_ranges(std::span<const std::int64_t> times) {
   const std::int64_t first_day = telemetry::day_index(times.front());
   const std::int64_t last_day = telemetry::day_index(times.back());
   std::vector<DayRange> days;
@@ -39,12 +38,12 @@ std::vector<DayRange> day_ranges(const telemetry::Dataset& dataset) {
   return days;
 }
 
-/// Draw the day-slot assignment shared by the view and copy resamplers.
-/// Slot s is filled with a uniformly drawn source day, shifted onto day s
-/// (keeping time-of-day); slot-major order is globally time-sorted.
-std::vector<telemetry::DatasetView::Block> draw_blocks(std::span<const DayRange> days,
-                                                       stats::Random& random) {
-  std::vector<telemetry::DatasetView::Block> blocks;
+/// Draw the day-slot assignment. Slot s is filled with a uniformly drawn
+/// source day, shifted onto day s (keeping time-of-day); slot-major order is
+/// globally time-sorted.
+std::vector<Resample::Block> draw_blocks(std::span<const DayRange> days,
+                                         stats::Random& random) {
+  std::vector<Resample::Block> blocks;
   blocks.reserve(days.size());
   for (std::size_t slot = 0; slot < days.size(); ++slot) {
     const auto& source = days[random.uniform_index(days.size())];
@@ -57,30 +56,39 @@ std::vector<telemetry::DatasetView::Block> draw_blocks(std::span<const DayRange>
 
 }  // namespace
 
-telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
-                                          stats::Random& random) {
-  if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
-  const auto days = day_ranges(dataset);
-  return telemetry::DatasetView(dataset, draw_blocks(days, random));
+Resample::Resample(telemetry::SampleColumns parent, std::vector<Block> blocks)
+    : parent_(parent), blocks_(std::move(blocks)) {
+  for (const auto& block : blocks_) {
+    if (block.last < block.first || block.last > parent_.size()) {
+      throw std::invalid_argument("Resample: block out of range");
+    }
+    size_ += block.last - block.first;
+  }
 }
 
-telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
-                                           stats::Random& random) {
-  if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
-  const auto days = day_ranges(dataset);
-  const auto blocks = draw_blocks(days, random);
-
-  telemetry::Dataset resampled;
-  resampled.reserve(dataset.size());
-  for (const auto& block : blocks) {
-    for (std::size_t k = block.first; k < block.last; ++k) {
-      auto record = dataset[k];
-      record.time_ms += block.time_shift;  // keeps time-of-day, moves the day
-      resampled.add(record);
+telemetry::SampleColumns Resample::columns() const {
+  // Gathered once: the buffers hold size_ rows from then on.
+  if (times_.size() != size_) {
+    times_ = stats::PooledVector<std::int64_t>(size_);
+    latencies_ = stats::PooledVector<double>(size_);
+    std::size_t out = 0;
+    for (const auto& block : blocks_) {
+      for (std::size_t i = block.first; i < block.last; ++i, ++out) {
+        times_[out] = parent_.times[i] + block.time_shift;
+        latencies_[out] = parent_.latencies[i];
+      }
     }
   }
-  resampled.sort_by_time();
-  return resampled;
+  return {times_.span(), latencies_.span()};
+}
+
+Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& random) {
+  if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
+  if (!dataset.is_sorted()) {
+    throw std::invalid_argument("day_block_resample: dataset not sorted");
+  }
+  const auto columns = dataset.columns();
+  return Resample(columns, draw_blocks(day_ranges(columns.times), random));
 }
 
 PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& dataset,
@@ -116,13 +124,10 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);
         try {
-          // View path: the replicate is an index view over `dataset` —
-          // O(days) setup, no record copy or re-sort. The legacy copy path
-          // produces byte-identical curves (same draws, same sample order).
-          const auto curve = confidence.resample_by_view
-                                 ? analyze(day_block_resample(dataset, substream), options)
-                                 : analyze(day_block_resample_copy(dataset, substream),
-                                           options);
+          // The replicate is a block table over `dataset`: O(days) setup,
+          // no record copy or re-sort.
+          const auto resample = day_block_resample(dataset, substream);
+          const auto curve = analyze_detailed(resample.columns(), options).preference;
           slot.usable = true;
           for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
             if (curve.covers(result.probe_latency_ms[p])) {

@@ -13,25 +13,21 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/options.h"
 #include "core/preference.h"
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
+#include "stats/scratch.h"
 #include "telemetry/dataset.h"
-#include "telemetry/dataset_view.h"
 
 namespace autosens::core {
 
 struct ConfidenceOptions {
   std::size_t replicates = 50;
   double confidence = 0.90;
-  /// When true (default), replicates analyze index-based DatasetViews; when
-  /// false they materialize full Dataset copies (the legacy path, kept for
-  /// golden comparisons and benchmarking). Both produce byte-identical
-  /// intervals.
-  bool resample_by_view = true;
 };
 
 /// A preference curve with per-probe-latency percentile intervals.
@@ -42,21 +38,48 @@ struct PreferenceWithConfidence {
   std::size_t usable_replicates = 0;    ///< Replicates that produced a curve.
 };
 
-/// A day-block resample of `dataset` as a lightweight index view: O(days)
-/// block selection (binary-searched day ranges + per-slot time shifts), no
-/// record copies, no re-sort. The view borrows `dataset` — it must stay
-/// alive and unmodified while the view is used. Days with no records are
-/// squeezed out (slots re-base onto sequential days starting at day 0), as
-/// the copying implementation always did.
-telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
-                                          stats::Random& random);
+/// One day-block resample as a block table over its parent's sorted
+/// columns: O(blocks) to build, no record copy, no re-sort. It borrows the
+/// parent's columns, which must outlive it unmodified. columns() gathers the
+/// shifted times and latencies once, on first call, into buffers borrowed
+/// from the scratch pool and returned when the resample dies; that first
+/// call is not thread-safe (each bootstrap replicate owns its resample).
+class Resample {
+ public:
+  /// One contiguous run [first, last) of parent rows, each shifted by
+  /// `time_shift` milliseconds.
+  struct Block {
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::int64_t time_shift = 0;
+  };
 
-/// The legacy deep-copying resample: same draws, same record order, returns
-/// an owning Dataset. Consumes `random` identically to day_block_resample —
-/// with equal generator state both describe the exact same resample (golden
-/// determinism tests rely on this).
-telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
-                                           stats::Random& random);
+  /// Blocks must lie within the parent (std::invalid_argument otherwise)
+  /// and their concatenated shifted times must be sorted ascending
+  /// (day_block_resample puts block s on day s).
+  Resample(telemetry::SampleColumns parent, std::vector<Block> blocks);
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t block_count() const noexcept { return blocks_.size(); }
+
+  /// The resampled columns, sorted ascending (same lifetime as *this).
+  telemetry::SampleColumns columns() const;
+
+ private:
+  telemetry::SampleColumns parent_;
+  std::vector<Block> blocks_;
+  std::size_t size_ = 0;
+  mutable stats::PooledVector<std::int64_t> times_;
+  mutable stats::PooledVector<double> latencies_;
+};
+
+/// A day-block resample of `dataset` (non-empty and sorted, else
+/// std::invalid_argument): O(days) block selection — binary-searched day
+/// ranges plus one draw per slot. Days with no records are squeezed out:
+/// slots re-base onto sequential days starting at day 0. The resample
+/// borrows `dataset`'s columns.
+Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& random);
 
 /// Run AutoSens and attach bootstrap intervals at `probe_latencies`.
 /// Replicates whose resample cannot support a curve (or does not cover a

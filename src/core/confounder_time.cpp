@@ -270,10 +270,6 @@ double TimeNormalizer::alpha_at(std::int64_t time_ms) const noexcept {
   return k < slots_.size() ? slots_[k].alpha : 1.0;
 }
 
-stats::Histogram TimeNormalizer::normalized_biased(const telemetry::Dataset& dataset) const {
-  return normalized_biased(dataset.columns());
-}
-
 stats::Histogram TimeNormalizer::normalized_biased(telemetry::SampleColumns columns) const {
   const auto times = columns.times;
   const auto latencies = columns.latencies;

@@ -47,8 +47,9 @@ class TimeNormalizer {
   /// std::invalid_argument otherwise.
   TimeNormalizer(const telemetry::Dataset& dataset, const AutoSensOptions& options);
 
-  /// Column-view variant for bootstrap views and other sorted-by-construction
-  /// columns. Precondition (not checked): columns.times sorted ascending.
+  /// The same over sorted-by-construction columns (a bootstrap resample, a
+  /// checked dataset's columns). Precondition (not checked): columns.times
+  /// sorted ascending.
   TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options);
 
   /// One entry per time-of-day class (even classes without records).
@@ -59,9 +60,6 @@ class TimeNormalizer {
 
   /// The α-normalized biased histogram: each record weighted 1/α of its
   /// slot, in the analysis bin width (options.bin_width_ms).
-  stats::Histogram normalized_biased(const telemetry::Dataset& dataset) const;
-
-  /// Column-view variant of normalized_biased (same math, same output).
   stats::Histogram normalized_biased(telemetry::SampleColumns columns) const;
 
  private:

@@ -36,53 +36,17 @@ PipelineMetrics& metrics() {
   return handles;
 }
 
-/// B (α-normalized when enabled) from the analysis-plane columns. The
-/// columns must be sorted (Dataset sorted flag / DatasetView construction).
-stats::Histogram build_biased(telemetry::SampleColumns columns,
-                              const AutoSensOptions& options,
-                              std::vector<SlotStat>& slots) {
-  if (options.normalize_time_confounder) {
-    obs::Span span("alpha_normalize", &metrics().alpha_ms);
-    const TimeNormalizer normalizer(columns, options);
-    slots = normalizer.slots();
-    span.attr("slots", static_cast<std::int64_t>(slots.size()));
-    return normalizer.normalized_biased(columns);
-  }
-  obs::Span span("biased_fill", &metrics().biased_ms);
-  return biased_histogram(columns.latencies, options);
-}
-
-PreferenceResult finish_preference(const stats::Histogram& biased,
-                                   const stats::Histogram& unbiased,
-                                   const AutoSensOptions& options) {
-  obs::Span span("preference", &metrics().preference_ms);
-  return compute_preference(biased, unbiased, options);
-}
-
-/// The shared core of analyze_detailed: the two estimator fills + the
-/// preference curve, over any sorted column view. `unbiased_fn` supplies the
-/// U estimate (the Dataset path routes it through the memoized Voronoi
-/// weights; the view path computes directly).
-template <typename UnbiasedFn>
-AnalysisResult analyze_columns(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options,
-                               const UnbiasedFn& unbiased_fn) {
-  if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
-  metrics().records.inc(columns.size());
-
-  std::vector<SlotStat> slots;
-  stats::Histogram biased = build_biased(columns, options, slots);
-
-  stats::Histogram unbiased = [&] {
-    obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method",
-              options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi");
-    return unbiased_fn();
+/// The shared tail of every analysis: the preference curve from B and U,
+/// plus the run accounting.
+AnalysisResult finish_analysis(std::size_t records, stats::Histogram biased,
+                               stats::Histogram unbiased, std::vector<SlotStat> slots,
+                               const AutoSensOptions& options) {
+  auto preference = [&] {
+    obs::Span span("preference", &metrics().preference_ms);
+    return compute_preference(biased, unbiased, options);
   }();
-
-  auto preference = finish_preference(biased, unbiased, options);
   // The α-normalization rescales weights; report the actual record count.
-  preference.biased_samples = columns.size();
+  preference.biased_samples = records;
   metrics().runs.inc();
   if (obs::enabled()) {
     // Readiness for /healthz: the analysis pipeline has produced at least
@@ -98,28 +62,47 @@ AnalysisResult analyze_columns(telemetry::SampleColumns columns,
 
 }  // namespace
 
+stats::Histogram biased_distribution(telemetry::SampleColumns columns,
+                                     const AutoSensOptions& options,
+                                     std::vector<SlotStat>& slots) {
+  if (options.normalize_time_confounder) {
+    obs::Span span("alpha_normalize", &metrics().alpha_ms);
+    const TimeNormalizer normalizer(columns, options);
+    slots = normalizer.slots();
+    span.attr("slots", static_cast<std::int64_t>(slots.size()));
+    return normalizer.normalized_biased(columns);
+  }
+  obs::Span span("biased_fill", &metrics().biased_ms);
+  return biased_histogram(columns.latencies, options);
+}
+
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options) {
+  if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
+  metrics().records.inc(columns.size());
+
+  std::vector<SlotStat> slots;
+  stats::Histogram biased = biased_distribution(columns, options, slots);
+
+  stats::Histogram unbiased = [&] {
+    obs::Span span("unbiased", &metrics().unbiased_ms);
+    span.attr("method",
+              options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi");
+    return unbiased_histogram(columns, options);
+  }();
+  return finish_analysis(columns.size(), std::move(biased), std::move(unbiased),
+                         std::move(slots), options);
+}
+
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
                                 const AutoSensOptions& options) {
   if (dataset.empty()) throw std::invalid_argument("analyze: empty dataset");
   if (!dataset.is_sorted()) throw std::invalid_argument("analyze: dataset not sorted");
-  return analyze_columns(dataset.columns(), options,
-                         [&] { return unbiased_histogram(dataset, options); });
+  return analyze_detailed(dataset.columns(), options);
 }
 
 PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOptions& options) {
   return analyze_detailed(dataset, options).preference;
-}
-
-AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
-                                const AutoSensOptions& options) {
-  if (view.empty()) throw std::invalid_argument("analyze: empty dataset");
-  const auto columns = view.columns();
-  return analyze_columns(columns, options,
-                         [&] { return unbiased_histogram(columns, options); });
-}
-
-PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options) {
-  return analyze_detailed(view, options).preference;
 }
 
 AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
@@ -132,31 +115,20 @@ AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
   if (windows.empty()) throw std::invalid_argument("analyze_over_windows: no windows");
   metrics().records.inc(dataset.size());
 
+  const auto columns = dataset.columns();
   std::vector<SlotStat> slots;
-  stats::Histogram biased = build_biased(dataset.columns(), options, slots);
+  stats::Histogram biased = biased_distribution(columns, options, slots);
 
   stats::Histogram unbiased = [&] {
     obs::Span span("unbiased", &metrics().unbiased_ms);
     span.attr("method", "windows");
     span.attr("windows", static_cast<std::int64_t>(windows.size()));
-    return unbiased_histogram_over_windows_sorted(dataset.times(), dataset.latencies(),
-                                                  windows, options.bin_width_ms,
+    return unbiased_histogram_over_windows_sorted(columns.times, columns.latencies, windows,
+                                                  options.bin_width_ms,
                                                   options.max_latency_ms, options.threads);
   }();
-
-  auto preference = finish_preference(biased, unbiased, options);
-  preference.biased_samples = dataset.size();
-  metrics().runs.inc();
-  if (obs::enabled()) {
-    // Readiness for /healthz: the analysis pipeline has produced at least
-    // one result since instrumentation came up.
-    obs::Health::global().set_component(
-        "pipeline", true, "runs=" + std::to_string(metrics().runs.value()));
-  }
-  return AnalysisResult{.preference = std::move(preference),
-                        .biased = std::move(biased),
-                        .unbiased = std::move(unbiased),
-                        .slots = std::move(slots)};
+  return finish_analysis(columns.size(), std::move(biased), std::move(unbiased),
+                         std::move(slots), options);
 }
 
 }  // namespace autosens::core

@@ -11,7 +11,6 @@
 #include "core/unbiased.h"
 #include "stats/histogram.h"
 #include "telemetry/dataset.h"
-#include "telemetry/dataset_view.h"
 
 namespace autosens::core {
 
@@ -23,22 +22,27 @@ struct AnalysisResult {
   std::vector<SlotStat> slots;  ///< Empty when normalization is disabled.
 };
 
-/// Run AutoSens on a sorted, scrubbed dataset whose observation window is
-/// the dataset's own [begin, end) range. Throws std::invalid_argument on
-/// empty input or an unsupported reference latency.
+/// Run AutoSens on sorted analysis-plane columns whose observation window is
+/// their own [begin, end) range. Precondition (not checked): `columns.times`
+/// sorted ascending. Throws std::invalid_argument on empty input or an
+/// unsupported reference latency.
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options);
+
+/// The same on a scrubbed dataset: checks that it is sorted (throws
+/// std::invalid_argument otherwise), then analyzes its columns.
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
                                 const AutoSensOptions& options);
 
 /// Convenience: just the preference curve.
 PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOptions& options);
 
-/// Run AutoSens on a bootstrap view (day_block_resample output) without
-/// materializing a Dataset: the estimators stream the view's shifted
-/// columns. Identical math — a view and its materialize()d dataset produce
-/// byte-identical results.
-AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
-                                const AutoSensOptions& options);
-PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options);
+/// B as analyze_detailed builds it: α-normalized when
+/// options.normalize_time_confounder (the per-slot α go to `slots`), raw
+/// otherwise. Same precondition as analyze_detailed(SampleColumns).
+stats::Histogram biased_distribution(telemetry::SampleColumns columns,
+                                     const AutoSensOptions& options,
+                                     std::vector<SlotStat>& slots);
 
 /// Run AutoSens on a dataset observed only during `windows` (sorted,
 /// disjoint) — e.g. the daily 6-hour chunks of a time-of-day slice (§3.6).

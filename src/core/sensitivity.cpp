@@ -1,8 +1,8 @@
 #include "core/sensitivity.h"
 
-#include "core/biased.h"
-#include "core/confounder_time.h"
-#include "core/unbiased.h"
+#include <stdexcept>
+
+#include "core/pipeline.h"
 #include "stats/distance.h"
 
 namespace autosens::core {
@@ -56,14 +56,15 @@ SensitivitySummary summarize(const PreferenceResult& preference) {
 
 ScreeningReport screen(const telemetry::Dataset& dataset, const AutoSensOptions& options,
                        double min_distance) {
+  if (dataset.empty()) throw std::invalid_argument("screen: empty dataset");
+  if (!dataset.is_sorted()) throw std::invalid_argument("screen: dataset not sorted");
+  const auto columns = dataset.columns();
   // Honor the time-confounder setting: without α-normalization, the diurnal
   // activity/latency coupling largely cancels the divergence the preference
   // creates, and the screen would read "nothing here" on sensitive slices.
-  auto biased = biased_histogram(dataset, options);
-  if (options.normalize_time_confounder) {
-    biased = TimeNormalizer(dataset, options).normalized_biased(dataset);
-  }
-  const auto unbiased = unbiased_histogram(dataset, options);
+  std::vector<SlotStat> slots;
+  const auto biased = biased_distribution(columns, options, slots);
+  const auto unbiased = unbiased_histogram(columns, options);
   ScreeningReport report;
   report.total_variation = stats::total_variation_distance(biased, unbiased);
   report.kolmogorov_smirnov = stats::ks_statistic(biased, unbiased);

@@ -20,24 +20,6 @@ obs::Counter& mc_draw_counter() {
   return counter;
 }
 
-/// Voronoi fill from precomputed weights (shared by the direct and cached
-/// entry points).
-stats::Histogram voronoi_fill(std::span<const double> latencies,
-                              std::span<const double> weights,
-                              const AutoSensOptions& options) {
-  obs::Span span("unbiased_voronoi");
-  span.attr("samples", static_cast<std::int64_t>(latencies.size()));
-  return parallel_map_reduce<stats::Histogram>(
-      latencies.size(), options.threads, kRecordChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto histogram = make_latency_histogram_pooled(options);
-        histogram.add_all(latencies.subspan(begin, end - begin),
-                          weights.subspan(begin, end - begin));
-        return histogram;
-      },
-      merge_and_recycle);
-}
-
 }  // namespace
 
 stats::Histogram unbiased_histogram_mc(std::span<const std::int64_t> times,
@@ -79,7 +61,17 @@ stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
   }
   const auto weights =
       stats::voronoi_weights(times, window.begin_ms, window.end_ms, options.threads);
-  return voronoi_fill(latencies, weights, options);
+  obs::Span span("unbiased_voronoi");
+  span.attr("samples", static_cast<std::int64_t>(latencies.size()));
+  return parallel_map_reduce<stats::Histogram>(
+      latencies.size(), options.threads, kRecordChunk,
+      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
+        auto histogram = make_latency_histogram_pooled(options);
+        histogram.add_all(latencies.subspan(begin, end - begin),
+                          std::span<const double>(weights).subspan(begin, end - begin));
+        return histogram;
+      },
+      merge_and_recycle);
 }
 
 stats::Histogram unbiased_histogram_over_windows(std::span<const std::int64_t> times,
@@ -145,18 +137,7 @@ stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,
 
 stats::Histogram unbiased_histogram(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options) {
-  if (dataset.empty()) throw std::invalid_argument("unbiased_histogram: empty dataset");
-  const TimeWindow window{.begin_ms = dataset.begin_time(), .end_ms = dataset.end_time()};
-  if (options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
-    stats::Random random(options.seed);
-    return unbiased_histogram_mc(dataset.times(), dataset.latencies(), window, options,
-                                 random);
-  }
-  // Voronoi weights over the dataset's own window are memoized on the
-  // dataset, so repeated analyses skip the O(n) weight pass.
-  const auto weights =
-      dataset.voronoi_weights_cached(window.begin_ms, window.end_ms, options.threads);
-  return voronoi_fill(dataset.latencies(), weights, options);
+  return unbiased_histogram(dataset.columns(), options);
 }
 
 }  // namespace autosens::core

@@ -53,21 +53,19 @@ stats::Histogram unbiased_histogram_over_windows(std::span<const std::int64_t> t
                                                  std::size_t threads = 1);
 
 /// Same, but skips the O(n) sortedness scan. For callers whose columns are
-/// sorted by construction (Dataset's sorted flag, DatasetView ordering, or a
-/// single upfront check amortized over many window sets).
+/// sorted by construction (Dataset's sorted flag, a bootstrap resample's
+/// block order, or a single upfront check amortized over many window sets).
 stats::Histogram unbiased_histogram_over_windows_sorted(
     std::span<const std::int64_t> times, std::span<const double> latencies,
     std::span<const TimeWindow> windows, double bin_width_ms, double max_latency_ms,
     std::size_t threads = 1);
 
-/// U over a sorted column view's own [begin, end) window, honoring
-/// options.unbiased_method (used by the bootstrap view path).
+/// U over sorted columns' own [begin, end) window, honoring
+/// options.unbiased_method. Precondition (not checked): times sorted.
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,
                                     const AutoSensOptions& options);
 
-/// Dataset-level convenience over the dataset's own [begin, end) window,
-/// honoring options.unbiased_method. The Voronoi path reuses the dataset's
-/// memoized weights (Dataset::voronoi_weights_cached).
+/// The same over a dataset's columns.
 stats::Histogram unbiased_histogram(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options);
 

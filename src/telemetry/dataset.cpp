@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "stats/descriptive.h"
-#include "stats/sampling.h"
 #include "stats/scratch.h"
 #include "telemetry/clock.h"
 
@@ -22,16 +21,10 @@ struct Dataset::Selection {
   ~Selection() { stats::ScratchPool<std::uint32_t>::give(std::move(rows)); }
 };
 
-/// Per-dataset lazily filled state: the selection's one-time compaction and
-/// the memoized full-window Voronoi weights (see voronoi_weights_cached),
-/// each under its own mutex. Not shared between copies.
+/// The lock of the selection's one-time compaction, held behind a pointer so
+/// a Dataset stays movable. Not shared between copies.
 struct Dataset::Lazy {
   std::mutex compaction;
-  std::mutex voronoi;
-  bool voronoi_valid = false;
-  std::int64_t begin_ms = 0;
-  std::int64_t end_ms = 0;
-  std::vector<double> weights;
 };
 
 namespace {
@@ -264,7 +257,6 @@ Dataset::Columns& Dataset::own() {
     columns_ = std::make_shared<Columns>(*columns_);
     shared_ = false;
   }
-  invalidate_cache();
   return *columns_;
 }
 
@@ -474,21 +466,5 @@ std::unordered_map<std::uint64_t, double> Dataset::per_user_median_latency() con
   }
   return medians;
 }
-
-std::span<const double> Dataset::voronoi_weights_cached(std::int64_t begin_ms,
-                                                        std::int64_t end_ms,
-                                                        std::size_t threads) const {
-  const auto time = times();
-  const std::lock_guard<std::mutex> lock(lazy_->voronoi);
-  if (!lazy_->voronoi_valid || lazy_->begin_ms != begin_ms || lazy_->end_ms != end_ms) {
-    lazy_->weights = stats::voronoi_weights(time, begin_ms, end_ms, threads);
-    lazy_->begin_ms = begin_ms;
-    lazy_->end_ms = end_ms;
-    lazy_->voronoi_valid = true;
-  }
-  return lazy_->weights;
-}
-
-void Dataset::invalidate_cache() noexcept { lazy_->voronoi_valid = false; }
 
 }  // namespace autosens::telemetry

@@ -26,10 +26,10 @@
 
 namespace autosens::telemetry {
 
-/// Non-owning view of the two analysis-plane columns. The whole estimator
-/// pipeline (biased/unbiased fills, α-normalization) consumes this instead of
-/// a concrete Dataset, so bootstrap views and datasets share one hot path.
-/// `times` must be sorted ascending and aligned with `latencies`.
+/// Non-owning view of the two analysis-plane columns: the one input of the
+/// estimator pipeline (biased/unbiased fills, α-normalization, analyze).
+/// Datasets and bootstrap resamples both hand these out. `times` must be
+/// sorted ascending and aligned with `latencies`.
 struct SampleColumns {
   std::span<const std::int64_t> times;
   std::span<const double> latencies;
@@ -192,14 +192,6 @@ class Dataset {
   /// Per-user median latency over this dataset (for quartile conditioning).
   std::unordered_map<std::uint64_t, double> per_user_median_latency() const;
 
-  /// Exact Voronoi selection weights over [begin_ms, end_ms), memoized on
-  /// the dataset: repeated analyses of the same window (bench loops, slice
-  /// re-reads) reuse the cached weights instead of recomputing them. The
-  /// span follows the column-span lifetime rules; add()/sort_by_time()
-  /// invalidate the cache. Thread-safe.
-  std::span<const double> voronoi_weights_cached(std::int64_t begin_ms, std::int64_t end_ms,
-                                                 std::size_t threads) const;
-
  private:
   struct Columns {
     std::vector<std::int64_t> time;
@@ -238,7 +230,6 @@ class Dataset {
   /// Unshared, mutable owned columns (compacts or un-shares first).
   Columns& own();
   static Dataset from_columns(std::shared_ptr<Columns> columns, bool sorted);
-  void invalidate_cache() noexcept;
 
   /// The owned columns (empty while selected); never null.
   mutable std::shared_ptr<Columns> columns_;

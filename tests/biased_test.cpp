@@ -27,21 +27,6 @@ TEST(BiasedTest, CountsLatencies) {
   EXPECT_DOUBLE_EQ(h.total_weight(), 4.0);
 }
 
-TEST(BiasedTest, DatasetOverloadMatchesSpanOverload) {
-  AutoSensOptions options;
-  telemetry::Dataset dataset;
-  const std::vector<double> latencies = {100.0, 200.0, 100.0};
-  for (std::size_t i = 0; i < latencies.size(); ++i) {
-    dataset.add({.time_ms = static_cast<std::int64_t>(i), .user_id = 1,
-                 .latency_ms = latencies[i]});
-  }
-  const auto from_dataset = biased_histogram(dataset, options);
-  const auto from_span = biased_histogram(latencies, options);
-  for (std::size_t i = 0; i < from_dataset.size(); ++i) {
-    EXPECT_DOUBLE_EQ(from_dataset.count(i), from_span.count(i));
-  }
-}
-
 TEST(BiasedTest, OverflowLatenciesClampIntoLastBin) {
   AutoSensOptions options;
   const std::vector<double> latencies = {50'000.0};

@@ -6,7 +6,10 @@
 #      rows/time range/compression) plus the summary line;
 #   3. `store analyze` streams windowed preference curves off the store;
 #   4. `store export` -> `store build` must reproduce every partition file
-#      byte-for-byte (the round-trip golden property).
+#      byte-for-byte (the round-trip golden property);
+#   5. a negative --threads is rejected before any work: `store build`
+#      writes nothing, and `alpha`/`analyze` fail on the flag before they
+#      open their input.
 #
 # Usage: cli_store_e2e.sh <autosens_cli>
 set -euo pipefail
@@ -70,5 +73,31 @@ diff -rq "$WORK/store" "$WORK/store2" >/dev/null || {
   diff -rq "$WORK/store" "$WORK/store2" >&2 || true
   exit 1
 }
+
+# --threads -1 is a named error, raised before the input is read or a pool
+# starts: store build leaves no output directory, and a missing input file
+# is never reached.
+expect_threads_rejected() {
+  local name="$1"
+  shift
+  if "$CLI" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"; then
+    echo "FAIL: $name accepted --threads -1" >&2
+    exit 1
+  fi
+  grep -q -- '--threads must be >= 0' "$WORK/$name.err" || {
+    echo "FAIL: $name did not reject --threads -1 by name" >&2
+    cat "$WORK/$name.err" >&2
+    exit 1
+  }
+}
+expect_threads_rejected store_build store build --in "$WORK/data.bin" \
+    --out "$WORK/store_negative" --threads -1
+[[ ! -e "$WORK/store_negative" ]] || {
+  echo "FAIL: store build wrote output before rejecting --threads -1" >&2
+  exit 1
+}
+expect_threads_rejected alpha alpha --in "$WORK/data.bin" --threads -1
+expect_threads_rejected analyze analyze --in "$WORK/missing.bin" --threads -1
+expect_threads_rejected alpha_missing alpha --in "$WORK/missing.bin" --threads -1
 
 echo "PASS: cli store e2e ($rows rows)"

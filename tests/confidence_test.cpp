@@ -3,16 +3,112 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <set>
+#include <type_traits>
 
+#include "core/pipeline.h"
+#include "core/simd.h"
 #include "simulate/generator.h"
 #include "simulate/presets.h"
+#include "stats/descriptive.h"
 #include "telemetry/clock.h"
 #include "telemetry/filter.h"
 #include "telemetry/validate.h"
 
 namespace autosens::core {
 namespace {
+
+static_assert(std::is_move_constructible_v<Resample> && std::is_move_assignable_v<Resample>);
+
+/// Reference resampler: the deep-copying implementation the library's
+/// block table replaced. Non-empty days are found by a record scan; slot s
+/// draws one of them uniformly (the same draws as day_block_resample), and
+/// its records are copied with their day moved to s, then re-sorted.
+telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
+                                           stats::Random& random) {
+  struct Day {
+    std::int64_t index = 0;
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+  std::vector<Day> days;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const std::int64_t day = telemetry::day_index(dataset[i].time_ms);
+    if (days.empty() || days.back().index != day) days.push_back({day, i, i});
+    days.back().last = i + 1;
+  }
+  telemetry::Dataset resampled;
+  for (std::size_t slot = 0; slot < days.size(); ++slot) {
+    const auto& source = days[random.uniform_index(days.size())];
+    for (std::size_t k = source.first; k < source.last; ++k) {
+      auto record = dataset[k];
+      record.time_ms += (static_cast<std::int64_t>(slot) - source.index) *
+                        telemetry::kMillisPerDay;
+      resampled.add(record);
+    }
+  }
+  resampled.sort_by_time();
+  return resampled;
+}
+
+/// analyze_with_confidence written out serially over the reference
+/// resampler: the point estimate, one counter-seeded substream per
+/// replicate, each resample analyzed as an owning Dataset, percentile
+/// intervals over the replicates that produced a curve.
+PreferenceWithConfidence confidence_by_copy(const telemetry::Dataset& dataset,
+                                            const AutoSensOptions& options,
+                                            std::vector<double> probes,
+                                            const ConfidenceOptions& confidence,
+                                            stats::Random& random) {
+  PreferenceWithConfidence result;
+  result.point = analyze(dataset, options);
+  result.probe_latency_ms = std::move(probes);
+  const std::uint64_t stream_base = random.engine()();
+  std::vector<std::vector<double>> draws(result.probe_latency_ms.size());
+  for (std::size_t r = 0; r < confidence.replicates; ++r) {
+    stats::Random substream(stats::substream_seed(stream_base, r));
+    std::optional<PreferenceResult> curve;
+    try {
+      curve = analyze(day_block_resample_copy(dataset, substream), options);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++result.usable_replicates;
+    for (std::size_t p = 0; p < draws.size(); ++p) {
+      if (curve->covers(result.probe_latency_ms[p])) {
+        draws[p].push_back(curve->at(result.probe_latency_ms[p]));
+      }
+    }
+  }
+  const double alpha = 1.0 - confidence.confidence;
+  for (std::size_t p = 0; p < draws.size(); ++p) {
+    if (draws[p].size() < 2) {
+      const double point = result.point.covers(result.probe_latency_ms[p])
+                               ? result.point.at(result.probe_latency_ms[p])
+                               : 0.0;
+      result.intervals.push_back({point, point});
+    } else {
+      result.intervals.push_back({stats::quantile(draws[p], alpha / 2.0),
+                                  stats::quantile(draws[p], 1.0 - alpha / 2.0)});
+    }
+  }
+  return result;
+}
+
+/// Bitwise equality of a resample's columns and a dataset's.
+void expect_same_columns(telemetry::SampleColumns got, const telemetry::Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const auto want_times = want.times();
+  const auto want_latencies = want.latencies();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.times[i], want_times[i]) << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.latencies[i]),
+              std::bit_cast<std::uint64_t>(want_latencies[i]))
+        << i;
+  }
+}
 
 telemetry::Dataset small_slice(std::uint64_t seed) {
   auto generated =
@@ -32,8 +128,8 @@ TEST(DayBlockResampleTest, PreservesSizeOrderAndTimeOfDay) {
   stats::Random random(2);
   const auto resampled = day_block_resample(slice, random);
   // Same day count → similar (not necessarily equal) record count; the
-  // view's slot-major order is globally time-sorted.
-  const auto times = resampled.times();
+  // slot-major order is globally time-sorted.
+  const auto times = resampled.columns().times;
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
   EXPECT_GT(resampled.size(), slice.size() / 2);
   EXPECT_LT(resampled.size(), slice.size() * 2);
@@ -52,9 +148,9 @@ TEST(DayBlockResampleTest, SpansSameDayRange) {
   const auto slice = small_slice(62);
   stats::Random random(3);
   const auto resampled = day_block_resample(slice, random);
-  EXPECT_EQ(telemetry::day_index(resampled.begin_time()),
+  EXPECT_EQ(telemetry::day_index(resampled.columns().begin_time()),
             telemetry::day_index(slice.begin_time()));
-  EXPECT_LE(telemetry::day_index(resampled.end_time() - 1),
+  EXPECT_LE(telemetry::day_index(resampled.columns().end_time() - 1),
             telemetry::day_index(slice.end_time() - 1));
 }
 
@@ -66,38 +162,39 @@ TEST(DayBlockResampleTest, ActuallyResamples) {
   EXPECT_NE(a.size(), b.size());  // overwhelmingly likely with 14 days
 }
 
-TEST(DayBlockResampleTest, ViewMatchesLegacyCopyExactly) {
-  // Golden determinism check: with equal generator state the index view and
-  // the deep-copying resampler describe byte-identical datasets.
+TEST(DayBlockResampleTest, MatchesCopyOracleBitwise) {
+  // Golden determinism check: with equal generator state the block table
+  // and the reference copy describe bit-identical columns, and consume the
+  // generator identically.
   const auto slice = small_slice(68);
-  stats::Random view_rng(9);
+  stats::Random rng(9);
   stats::Random copy_rng(9);
-  const auto view = day_block_resample(slice, view_rng);
-  const auto copy = day_block_resample_copy(slice, copy_rng);
-  ASSERT_EQ(view.size(), copy.size());
-  const auto view_times = view.times();
-  const auto view_latencies = view.latencies();
-  const auto copy_times = copy.times();
-  const auto copy_latencies = copy.latencies();
-  EXPECT_TRUE(std::equal(view_times.begin(), view_times.end(), copy_times.begin()));
-  EXPECT_TRUE(std::equal(view_latencies.begin(), view_latencies.end(),
-                         copy_latencies.begin()));
-  // Spot-check the full record gather (ids, enums) and the materialization.
-  for (const std::size_t i : {std::size_t{0}, view.size() / 2, view.size() - 1}) {
-    const auto a = view[i];
-    const auto b = copy[i];
-    EXPECT_EQ(a.time_ms, b.time_ms);
-    EXPECT_EQ(a.user_id, b.user_id);
-    EXPECT_DOUBLE_EQ(a.latency_ms, b.latency_ms);
-    EXPECT_EQ(a.action, b.action);
-    EXPECT_EQ(a.user_class, b.user_class);
-    EXPECT_EQ(a.status, b.status);
+  for (int round = 0; round < 3; ++round) {
+    const auto resampled = day_block_resample(slice, rng);
+    expect_same_columns(resampled.columns(), day_block_resample_copy(slice, copy_rng));
   }
-  const auto materialized = view.materialize();
-  ASSERT_EQ(materialized.size(), copy.size());
-  EXPECT_TRUE(materialized.is_sorted());
-  const auto mat_times = materialized.times();
-  EXPECT_TRUE(std::equal(mat_times.begin(), mat_times.end(), copy_times.begin()));
+}
+
+TEST(DayBlockResampleTest, UnsortedDatasetThrows) {
+  telemetry::Dataset d;
+  d.add({.time_ms = 2000, .user_id = 1, .latency_ms = 100.0});
+  d.add({.time_ms = 1000, .user_id = 1, .latency_ms = 100.0});
+  stats::Random random(12);
+  EXPECT_THROW(day_block_resample(d, random), std::invalid_argument);
+}
+
+TEST(DayBlockResampleTest, BlocksOutsideTheParentThrow) {
+  const std::vector<std::int64_t> times = {1, 2, 3};
+  const std::vector<double> latencies = {10.0, 20.0, 30.0};
+  const telemetry::SampleColumns parent{times, latencies};
+  EXPECT_THROW(Resample(parent, {{.first = 1, .last = 4, .time_shift = 0}}),
+               std::invalid_argument);
+  EXPECT_THROW(Resample(parent, {{.first = 2, .last = 1, .time_shift = 0}}),
+               std::invalid_argument);
+  const Resample shifted(parent, {{.first = 1, .last = 3, .time_shift = 5}});
+  ASSERT_EQ(shifted.size(), 2u);
+  EXPECT_EQ(shifted.columns().times[0], 7);
+  EXPECT_EQ(shifted.columns().latencies[1], 30.0);
 }
 
 TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
@@ -112,13 +209,16 @@ TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
            .status = telemetry::ActionStatus::kSuccess});
   }
   stats::Random random(10);
-  const auto view = day_block_resample(d, random);
-  ASSERT_EQ(view.size(), d.size());
-  EXPECT_EQ(view.block_count(), 1u);
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(view[i].time_ms, static_cast<std::int64_t>(i) * 1000);
-    EXPECT_DOUBLE_EQ(view[i].latency_ms, 100.0 + static_cast<double>(i));
+  const auto resampled = day_block_resample(d, random);
+  ASSERT_EQ(resampled.size(), d.size());
+  EXPECT_EQ(resampled.block_count(), 1u);
+  const auto columns = resampled.columns();
+  for (std::size_t i = 0; i < resampled.size(); ++i) {
+    EXPECT_EQ(columns.times[i], static_cast<std::int64_t>(i) * 1000);
+    EXPECT_DOUBLE_EQ(columns.latencies[i], 100.0 + static_cast<double>(i));
   }
+  stats::Random copy_rng(10);
+  expect_same_columns(columns, day_block_resample_copy(d, copy_rng));
 }
 
 TEST(DayBlockResampleTest, EmptyMiddleDaysAreSqueezedOut) {
@@ -136,18 +236,15 @@ TEST(DayBlockResampleTest, EmptyMiddleDaysAreSqueezedOut) {
     }
   }
   stats::Random random(11);
-  const auto view = day_block_resample(d, random);
-  EXPECT_EQ(view.block_count(), 2u);
-  EXPECT_EQ(view.size(), 10u);
-  EXPECT_LE(telemetry::day_index(view.end_time() - 1), 1);
-  const auto times = view.times();
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-  // And the copy path squeezes identically under the same draws.
+  const auto resampled = day_block_resample(d, random);
+  EXPECT_EQ(resampled.block_count(), 2u);
+  EXPECT_EQ(resampled.size(), 10u);
+  const auto columns = resampled.columns();
+  EXPECT_LE(telemetry::day_index(columns.end_time() - 1), 1);
+  EXPECT_TRUE(std::is_sorted(columns.times.begin(), columns.times.end()));
+  // And the reference copy squeezes identically under the same draws.
   stats::Random copy_rng(11);
-  const auto copy = day_block_resample_copy(d, copy_rng);
-  const auto copy_times = copy.times();
-  ASSERT_EQ(copy.size(), view.size());
-  EXPECT_TRUE(std::equal(times.begin(), times.end(), copy_times.begin()));
+  expect_same_columns(columns, day_block_resample_copy(d, copy_rng));
 }
 
 TEST(AnalyzeWithConfidenceTest, Validation) {
@@ -180,23 +277,36 @@ TEST(AnalyzeWithConfidenceTest, IntervalsCoverPointEstimate) {
   }
 }
 
-TEST(AnalyzeWithConfidenceTest, ViewAndCopyPathsAreByteIdentical) {
+TEST(AnalyzeWithConfidenceTest, MatchesCopyOracleReplicateLoop) {
+  // The library's replicates (block tables on the parallel layer) against a
+  // serial loop over the reference copy: bit-identical intervals and usable
+  // counts at every thread count and on the scalar kernel path.
   const auto slice = small_slice(67);
-  stats::Random view_rng(8);
-  stats::Random copy_rng(8);
-  const auto via_view = analyze_with_confidence(
-      slice, AutoSensOptions{}, {500.0, 1000.0},
-      {.replicates = 8, .resample_by_view = true}, view_rng);
-  const auto via_copy = analyze_with_confidence(
-      slice, AutoSensOptions{}, {500.0, 1000.0},
-      {.replicates = 8, .resample_by_view = false}, copy_rng);
-  EXPECT_EQ(via_view.usable_replicates, via_copy.usable_replicates);
-  ASSERT_EQ(via_view.intervals.size(), via_copy.intervals.size());
-  for (std::size_t p = 0; p < via_view.intervals.size(); ++p) {
-    // Bit-for-bit, not approximately: the view is the same resample.
-    EXPECT_EQ(via_view.intervals[p].lo, via_copy.intervals[p].lo);
-    EXPECT_EQ(via_view.intervals[p].hi, via_copy.intervals[p].hi);
+  const std::vector<double> probes = {500.0, 1000.0, 2400.0};
+  const ConfidenceOptions confidence{.replicates = 8};
+  for (const bool scalar : {false, true}) {
+    if (scalar) simd::set_level_override(simd::Level::kScalar);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      AutoSensOptions options;
+      options.threads = threads;
+      stats::Random rng(8);
+      stats::Random copy_rng(8);
+      const auto got = analyze_with_confidence(slice, options, probes, confidence, rng);
+      const auto want = confidence_by_copy(slice, options, probes, confidence, copy_rng);
+      EXPECT_EQ(got.usable_replicates, want.usable_replicates) << threads;
+      ASSERT_EQ(got.intervals.size(), want.intervals.size());
+      for (std::size_t p = 0; p < got.intervals.size(); ++p) {
+        // Bit for bit, not approximately: the block table is the same resample.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].lo),
+                  std::bit_cast<std::uint64_t>(want.intervals[p].lo))
+            << "threads " << threads << " scalar " << scalar << " probe " << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].hi),
+                  std::bit_cast<std::uint64_t>(want.intervals[p].hi))
+            << "threads " << threads << " scalar " << scalar << " probe " << p;
+      }
+    }
   }
+  simd::set_level_override(std::nullopt);
 }
 
 TEST(AnalyzeWithConfidenceTest, IntervalsContainPlantedValueMostOfTheTime) {

@@ -99,7 +99,7 @@ TEST(TimeNormalizerTest, NormalizedBiasedEqualizesSlotRates) {
   AutoSensOptions options;
   const auto dataset = synthetic_confounded_dataset();
   const TimeNormalizer normalizer(dataset, options);
-  const auto normalized = normalizer.normalized_biased(dataset);
+  const auto normalized = normalizer.normalized_biased(dataset.columns());
   // Every hour contributes ~200 * 10 days of effective weight.
   EXPECT_NEAR(normalized.total_weight(), 24.0 * 200.0 * 10.0, 0.15 * 24.0 * 200.0 * 10.0);
 }

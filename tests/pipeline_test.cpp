@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "simulate/generator.h"
 #include "simulate/presets.h"
 #include "telemetry/filter.h"
@@ -24,8 +26,69 @@ telemetry::Dataset select_mail_business(Scale scale, std::uint64_t seed) {
        telemetry::by_user_class(UserClass::kBusiness)}));
 }
 
+/// Same bins, same bytes in every count.
+bool bitwise_equal(const stats::Histogram& a, const stats::Histogram& b) {
+  return a.size() == b.size() && a.lo() == b.lo() && a.bin_width() == b.bin_width() &&
+         std::memcmp(a.counts().data(), b.counts().data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Bit-identical analyses: curve, both distributions and the per-slot α.
+void expect_same_analysis(const AnalysisResult& a, const AnalysisResult& b) {
+  ASSERT_EQ(a.preference.normalized.size(), b.preference.normalized.size());
+  EXPECT_EQ(std::memcmp(a.preference.normalized.data(), b.preference.normalized.data(),
+                        a.preference.normalized.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.preference.biased_samples, b.preference.biased_samples);
+  EXPECT_TRUE(bitwise_equal(a.biased, b.biased));
+  EXPECT_TRUE(bitwise_equal(a.unbiased, b.unbiased));
+  ASSERT_EQ(a.slots.size(), b.slots.size());
+  for (std::size_t k = 0; k < a.slots.size(); ++k) {
+    EXPECT_EQ(std::memcmp(&a.slots[k].alpha, &b.slots[k].alpha, sizeof(double)), 0) << k;
+  }
+}
+
 TEST(PipelineTest, EmptyDatasetThrows) {
   EXPECT_THROW(analyze(telemetry::Dataset{}, AutoSensOptions{}), std::invalid_argument);
+  EXPECT_THROW(analyze_detailed(telemetry::SampleColumns{}, AutoSensOptions{}),
+               std::invalid_argument);
+}
+
+TEST(PipelineTest, UnsortedDatasetThrows) {
+  telemetry::Dataset d;
+  d.add({.time_ms = 2000, .user_id = 1, .latency_ms = 100.0});
+  d.add({.time_ms = 1000, .user_id = 1, .latency_ms = 100.0});
+  EXPECT_THROW(analyze(d, AutoSensOptions{}), std::invalid_argument);
+}
+
+TEST(PipelineTest, DatasetIsAnalyzedThroughItsColumns) {
+  const auto slice = select_mail_business(Scale::kTiny, 39);
+  for (const bool normalize : {true, false}) {
+    AutoSensOptions options;
+    options.normalize_time_confounder = normalize;
+    expect_same_analysis(analyze_detailed(slice, options),
+                         analyze_detailed(slice.columns(), options));
+  }
+}
+
+TEST(PipelineTest, RepeatAndMutatedAnalysesMatchAFreshCopy) {
+  // A dataset keeps no analysis state: analyzing it twice, and again after
+  // add() + sort_by_time(), matches analyzing a fresh copy of its rows.
+  auto slice = select_mail_business(Scale::kTiny, 40);
+  const AutoSensOptions options;
+  const auto first = analyze_detailed(slice, options);
+  expect_same_analysis(first, analyze_detailed(slice, options));
+  expect_same_analysis(first, analyze_detailed(telemetry::Dataset(slice.records()), options));
+
+  auto early = slice[0];
+  early.time_ms -= 3 * 3'600'000;  // widens the observation window
+  early.latency_ms = 1500.0;
+  slice.add(early);
+  slice.sort_by_time();
+  const auto after = analyze_detailed(slice, options);
+  expect_same_analysis(after, analyze_detailed(telemetry::Dataset(slice.records()), options));
+  EXPECT_NE(std::memcmp(after.unbiased.counts().data(), first.unbiased.counts().data(),
+                        first.unbiased.size() * sizeof(double)),
+            0);
 }
 
 TEST(PipelineTest, RecoveryOfPlantedPreferenceShape) {

@@ -6,6 +6,7 @@
 #include "core/pipeline.h"
 #include "simulate/generator.h"
 #include "simulate/presets.h"
+#include "stats/distance.h"
 #include "telemetry/filter.h"
 #include "telemetry/validate.h"
 
@@ -90,6 +91,24 @@ TEST_F(ScreenTest, ThresholdControlsVerdict) {
       dataset_->filtered(telemetry::by_action(telemetry::ActionType::kSelectMail));
   const auto report = screen(slice, AutoSensOptions{}, /*min_distance=*/0.99);
   EXPECT_FALSE(report.worth_analyzing);
+}
+
+TEST_F(ScreenTest, ComparesTheDistributionsTheAnalysisBuilds) {
+  // screen() fills B once, as analyze_detailed does (α-normalized by
+  // default), so its distances are exactly those of the analysis's B and U.
+  const auto slice =
+      dataset_->filtered(telemetry::by_action(telemetry::ActionType::kSelectMail));
+  for (const bool normalize : {true, false}) {
+    AutoSensOptions options;
+    options.normalize_time_confounder = normalize;
+    const auto report = screen(slice, options);
+    const auto analysis = analyze_detailed(slice, options);
+    EXPECT_EQ(report.total_variation,
+              stats::total_variation_distance(analysis.biased, analysis.unbiased));
+    EXPECT_EQ(report.kolmogorov_smirnov,
+              stats::ks_statistic(analysis.biased, analysis.unbiased));
+    EXPECT_EQ(report.mean_shift_ms, stats::mean_shift(analysis.biased, analysis.unbiased));
+  }
 }
 
 TEST(ScreenPlantedTest, PlantedPreferenceDivergesMoreThanFlatPreference) {

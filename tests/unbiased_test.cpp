@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace autosens::core {
 namespace {
+
+/// Same bins, same bytes in every count.
+bool bitwise_equal(const stats::Histogram& a, const stats::Histogram& b) {
+  return a.size() == b.size() && a.lo() == b.lo() && a.bin_width() == b.bin_width() &&
+         std::memcmp(a.counts().data(), b.counts().data(), a.size() * sizeof(double)) == 0;
+}
 
 AutoSensOptions small_options() {
   AutoSensOptions options;
@@ -141,6 +148,35 @@ TEST(UnbiasedTest, DatasetConvenienceHonorsMethod) {
   // Voronoi mass is 1 (probability); MC mass equals the draw count.
   EXPECT_NEAR(voronoi.total_weight(), 1.0, 1e-9);
   EXPECT_NEAR(mc.total_weight(), static_cast<double>(options.unbiased_draws), 0.5);
+}
+
+TEST(UnbiasedTest, DatasetEstimateIsRecomputedFromItsColumns) {
+  // A dataset keeps no estimator state: each call equals the columns
+  // overload and the windowed kernel bit for bit, and after add() +
+  // sort_by_time() the estimate is that of a fresh copy of the new rows.
+  telemetry::Dataset dataset;
+  stats::Random random(6);
+  std::int64_t t = 0;
+  for (int i = 0; i < 300; ++i) {
+    t += 100 + static_cast<std::int64_t>(random.exponential(0.05));
+    dataset.add({.time_ms = t, .user_id = 1, .latency_ms = random.lognormal(5.0, 0.3)});
+  }
+  const auto options = small_options();
+  const auto first = unbiased_histogram(dataset, options);
+  EXPECT_TRUE(bitwise_equal(first, unbiased_histogram(dataset, options)));
+  EXPECT_TRUE(bitwise_equal(first, unbiased_histogram(dataset.columns(), options)));
+  EXPECT_TRUE(bitwise_equal(
+      first, unbiased_histogram_voronoi(
+                 dataset.times(), dataset.latencies(),
+                 {.begin_ms = dataset.begin_time(), .end_ms = dataset.end_time()}, options)));
+
+  // An earlier, slow record widens the window and takes its leading cell.
+  dataset.add({.time_ms = -50'000, .user_id = 2, .latency_ms = 900.0});
+  dataset.sort_by_time();
+  const auto after = unbiased_histogram(dataset, options);
+  EXPECT_TRUE(bitwise_equal(after, unbiased_histogram(telemetry::Dataset(dataset.records()),
+                                                      options)));
+  EXPECT_GT(after.count(after.bin_index(900.0)), first.count(first.bin_index(900.0)));
 }
 
 TEST(UnbiasedTest, EmptyDatasetThrows) {

@@ -277,11 +277,20 @@ void finish_observability(const cli::Args& args) {
   if (args.has("stats")) print_stats(std::cerr);
 }
 
+/// --threads N, the one parse of the flag (0 = all hardware threads).
+/// Commands read it before any work, so a negative count is rejected before
+/// the input is opened or a pool starts.
+std::size_t thread_count(const cli::Args& args) {
+  const auto threads = args.get_int("threads", 0);
+  if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
+  return static_cast<std::size_t>(threads);
+}
+
 /// --threads also drives the parallel ingest engine, so one flag controls
 /// both the parse and the analysis thread counts.
 telemetry::IngestOptions ingest_options_from_flags(const cli::Args& args) {
   telemetry::IngestOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = thread_count(args);
   return options;
 }
 
@@ -344,9 +353,7 @@ core::AutoSensOptions options_from_flags(const cli::Args& args) {
   options.max_latency_ms = args.get_double("max-latency", options.max_latency_ms);
   if (args.has("no-normalize")) options.normalize_time_confounder = false;
   if (args.has("mc")) options.unbiased_method = core::UnbiasedMethod::kMonteCarlo;
-  const auto threads = args.get_int("threads", 0);
-  if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = thread_count(args);
   return options;
 }
 
@@ -597,10 +604,10 @@ int cmd_locality(const cli::Args& args) {
 
 int cmd_alpha(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "threads"}));
+  core::AutoSensOptions options;
+  options.threads = thread_count(args);
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
   const auto slice = apply_slice_flags(dataset, args);
-  core::AutoSensOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
   const auto periods = core::alpha_by_period(slice, options);
   report::Table period_table({"period", "records", "mean alpha"});
@@ -875,6 +882,7 @@ std::string mib(std::uint64_t bytes) {
 int cmd_store_build(const cli::Args& args) {
   args.allow_only(with_obs(
       {"in", "out", "partition-rows", "block-rows", "no-compress", "threads"}));
+  const auto ingest = ingest_options_from_flags(args);
   const std::string in = args.require("in");
   const std::string out = args.require("out");
   telemetry::store::StoreOptions options;
@@ -889,10 +897,9 @@ int cmd_store_build(const cli::Args& args) {
   std::uint64_t rows = 0;
   if (in.ends_with(".bin")) {
     // Sorted binlogs stream through O(partition) memory.
-    rows = telemetry::store::build_store_from_binlog(in, out, options,
-                                                     ingest_options_from_flags(args));
+    rows = telemetry::store::build_store_from_binlog(in, out, options, ingest);
   } else {
-    auto dataset = load(in, ingest_options_from_flags(args));
+    auto dataset = load(in, ingest);
     dataset.sort_by_time();
     telemetry::store::build_store(dataset, out, options);
     rows = dataset.size();
@@ -948,8 +955,8 @@ int cmd_store_analyze(const cli::Args& args) {
   args.allow_only(with_obs({"in", "window-days", "action", "class", "ref", "bin",
                             "max-latency", "no-normalize", "mc", "confidence", "replicates",
                             "threads"}));
-  const auto store = telemetry::store::StoredDataset::open(args.require("in"));
   const auto options = options_from_flags(args);
+  const auto store = telemetry::store::StoredDataset::open(args.require("in"));
 
   core::StoreStreamOptions stream;
   const auto window_days = args.get_int("window-days", 7);
