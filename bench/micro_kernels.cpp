@@ -492,6 +492,34 @@ void BM_ConfidenceReplicates(benchmark::State& state) {
 BENCHMARK(BM_ConfidenceReplicates)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+/// One bootstrap replicate's α, serial as inside the replicate loop. Arg(0)
+/// re-estimates it from the resample's rows (TimeNormalizer(columns), the
+/// path every replicate took before the day table); Arg(1) folds the
+/// parent's day table, built once outside the timed loop as
+/// analyze_with_confidence builds it once per call. Same draw, same bits.
+void BM_ReplicateAlpha(benchmark::State& state) {
+  const auto& dataset = million_record_dataset();
+  const bool by_table = state.range(0) != 0;
+  core::AutoSensOptions options;
+  options.threads = 1;
+  const auto columns = dataset.columns();
+  const auto days = core::day_ranges(columns.times);
+  const core::AlphaDayTable table(columns, options);
+  stats::Random random(19);
+  const auto drawn = core::draw_days(days.size(), random);
+  const auto resample = core::day_block_resample(columns, days, drawn);
+  const auto replicate = resample.columns();
+  for (auto _ : state) {
+    const auto normalizer =
+        by_table ? core::TimeNormalizer(core::DrawnDays{table, drawn}, replicate, options)
+                 : core::TimeNormalizer(replicate, options);
+    benchmark::DoNotOptimize(normalizer.slots().data());
+  }
+  state.SetLabel(by_table ? "table" : "rows");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(replicate.size()));
+}
+BENCHMARK(BM_ReplicateAlpha)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 /// The per-row scrub-and-slice that BM_ValidateSlice's Arg(0) freezes: each
 /// surviving row gathered and pushed column by column onto six growing
 /// vectors, once by the scrub (default ValidationOptions) and again by the

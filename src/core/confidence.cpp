@@ -1,6 +1,7 @@
 #include "core/confidence.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -10,51 +11,6 @@
 #include "telemetry/clock.h"
 
 namespace autosens::core {
-namespace {
-
-/// One non-empty day of the dataset: its calendar day index and the record
-/// range [first, last) covering it.
-struct DayRange {
-  std::int64_t day = 0;
-  std::size_t first = 0;
-  std::size_t last = 0;
-};
-
-/// Non-empty day ranges via binary search over the sorted times column —
-/// O(days · log records) rather than a full record scan.
-std::vector<DayRange> day_ranges(std::span<const std::int64_t> times) {
-  const std::int64_t first_day = telemetry::day_index(times.front());
-  const std::int64_t last_day = telemetry::day_index(times.back());
-  std::vector<DayRange> days;
-  days.reserve(static_cast<std::size_t>(last_day - first_day) + 1);
-  std::size_t cursor = 0;
-  for (std::int64_t day = first_day; day <= last_day; ++day) {
-    const auto it = std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(cursor),
-                                     times.end(), (day + 1) * telemetry::kMillisPerDay);
-    const auto next = static_cast<std::size_t>(it - times.begin());
-    if (next > cursor) days.push_back({day, cursor, next});
-    cursor = next;
-  }
-  return days;
-}
-
-/// Draw the day-slot assignment. Slot s is filled with a uniformly drawn
-/// source day, shifted onto day s (keeping time-of-day); slot-major order is
-/// globally time-sorted.
-std::vector<Resample::Block> draw_blocks(std::span<const DayRange> days,
-                                         stats::Random& random) {
-  std::vector<Resample::Block> blocks;
-  blocks.reserve(days.size());
-  for (std::size_t slot = 0; slot < days.size(); ++slot) {
-    const auto& source = days[random.uniform_index(days.size())];
-    const std::int64_t day_shift =
-        (static_cast<std::int64_t>(slot) - source.day) * telemetry::kMillisPerDay;
-    blocks.push_back({source.first, source.last, day_shift});
-  }
-  return blocks;
-}
-
-}  // namespace
 
 Resample::Resample(telemetry::SampleColumns parent, std::vector<Block> blocks)
     : parent_(parent), blocks_(std::move(blocks)) {
@@ -88,7 +44,33 @@ Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& ra
     throw std::invalid_argument("day_block_resample: dataset not sorted");
   }
   const auto columns = dataset.columns();
-  return Resample(columns, draw_blocks(day_ranges(columns.times), random));
+  const auto days = day_ranges(columns.times);
+  return day_block_resample(columns, days, draw_days(days.size(), random));
+}
+
+std::vector<std::size_t> draw_days(std::size_t day_count, stats::Random& random) {
+  std::vector<std::size_t> drawn(day_count);
+  for (auto& day : drawn) day = random.uniform_index(day_count);
+  return drawn;
+}
+
+Resample day_block_resample(telemetry::SampleColumns parent,
+                            std::span<const DayRange> days,
+                            std::span<const std::size_t> drawn) {
+  // Slot s holds its drawn day shifted onto day s; slot-major order is
+  // globally time-sorted.
+  std::vector<Resample::Block> blocks;
+  blocks.reserve(drawn.size());
+  for (std::size_t slot = 0; slot < drawn.size(); ++slot) {
+    if (drawn[slot] >= days.size()) {
+      throw std::invalid_argument("day_block_resample: drawn day out of range");
+    }
+    const auto& source = days[drawn[slot]];
+    const std::int64_t day_shift =
+        (static_cast<std::int64_t>(slot) - source.day) * telemetry::kMillisPerDay;
+    blocks.push_back({source.first, source.last, day_shift});
+  }
+  return Resample(parent, std::move(blocks));
 }
 
 PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& dataset,
@@ -103,8 +85,28 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
     throw std::invalid_argument("analyze_with_confidence: confidence must be in (0,1)");
   }
 
+  if (dataset.empty()) throw std::invalid_argument("analyze: empty dataset");
+  if (!dataset.is_sorted()) throw std::invalid_argument("analyze: dataset not sorted");
+
+  // Replicates are block tables over the parent's non-empty days. The α
+  // inputs of every analysis here, the point estimate's included, fold the
+  // parent's per-day table (built once, dropped on return) instead of
+  // rescanning every row.
+  const auto columns = dataset.columns();
+  const auto days = day_ranges(columns.times);
+  std::optional<AlphaDayTable> alpha_days;
+  if (options.normalize_time_confounder) alpha_days.emplace(columns, options);
+  const auto curve_of = [&](telemetry::SampleColumns analyzed,
+                            std::span<const std::size_t> drawn) {
+    return (alpha_days ? analyze_detailed(analyzed, DrawnDays{*alpha_days, drawn}, options)
+                       : analyze_detailed(analyzed, options))
+        .preference;
+  };
+
   PreferenceWithConfidence result;
-  result.point = analyze(dataset, options);
+  std::vector<std::size_t> every_day(days.size());
+  std::iota(every_day.begin(), every_day.end(), std::size_t{0});
+  result.point = curve_of(columns, every_day);
   result.probe_latency_ms = std::move(probe_latencies);
 
   // Each replicate resamples from its own counter-seeded substream and
@@ -124,10 +126,10 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);
         try {
-          // The replicate is a block table over `dataset`: O(days) setup,
-          // no record copy or re-sort.
-          const auto resample = day_block_resample(dataset, substream);
-          const auto curve = analyze_detailed(resample.columns(), options).preference;
+          // O(days) setup, no record copy or re-sort.
+          const auto drawn = draw_days(days.size(), substream);
+          const auto resample = day_block_resample(columns, days, drawn);
+          const auto curve = curve_of(resample.columns(), drawn);
           slot.usable = true;
           for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
             if (curve.covers(result.probe_latency_ms[p])) {

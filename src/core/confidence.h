@@ -14,8 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/confounder_time.h"
 #include "core/options.h"
 #include "core/preference.h"
 #include "stats/bootstrap.h"
@@ -80,6 +82,18 @@ class Resample {
 /// slots re-base onto sequential days starting at day 0. The resample
 /// borrows `dataset`'s columns.
 Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& random);
+
+/// The draw of one day-block resample over `day_count` non-empty days:
+/// entry s is the index of the day drawn onto slot s (one uniform draw per
+/// slot, in slot order — what day_block_resample consumes from `random`).
+std::vector<std::size_t> draw_days(std::size_t day_count, stats::Random& random);
+
+/// The resample that puts parent day days[drawn[s]] (days =
+/// day_ranges(parent.times)) on day s, keeping time-of-day. Its α can be
+/// folded from an AlphaDayTable of `parent` with the same `drawn`.
+Resample day_block_resample(telemetry::SampleColumns parent,
+                            std::span<const DayRange> days,
+                            std::span<const std::size_t> drawn);
 
 /// Run AutoSens and attach bootstrap intervals at `probe_latencies`.
 /// Replicates whose resample cannot support a curve (or does not cover a

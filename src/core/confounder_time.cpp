@@ -4,16 +4,13 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "core/biased.h"
 #include "core/parallel.h"
-#include "core/simd.h"
 #include "obs/trace.h"
-#include "stats/sampling.h"
 #include "stats/scratch.h"
 
 namespace autosens::core {
@@ -58,158 +55,106 @@ double pair_alpha(const SlotData& slot, const SlotData& reference) {
   return bins > 0 ? sum / static_cast<double>(bins) : std::nan("");
 }
 
-/// Daily windows of time-of-day class `slot` clipped to [begin, end).
-std::vector<TimeWindow> class_windows(int slot, std::int64_t slot_ms, std::int64_t begin,
-                                      std::int64_t end) {
-  std::vector<TimeWindow> windows;
+/// Milliseconds of [begin, end) in time-of-day class `slot`: the lengths of
+/// its daily windows clipped to [begin, end), summed in day order.
+double class_time(int slot, std::int64_t slot_ms, std::int64_t begin, std::int64_t end) {
+  double total = 0.0;
   for (std::int64_t day = telemetry::day_index(begin);
        day * telemetry::kMillisPerDay < end; ++day) {
-    TimeWindow w{.begin_ms = day * telemetry::kMillisPerDay + slot * slot_ms,
-                 .end_ms = day * telemetry::kMillisPerDay + (slot + 1) * slot_ms};
-    w.begin_ms = std::max(w.begin_ms, begin);
-    w.end_ms = std::min(w.end_ms, end);
-    if (w.end_ms > w.begin_ms) windows.push_back(w);
+    const std::int64_t from =
+        std::max(day * telemetry::kMillisPerDay + slot * slot_ms, begin);
+    const std::int64_t to =
+        std::min(day * telemetry::kMillisPerDay + (slot + 1) * slot_ms, end);
+    if (to > from) total += static_cast<double>(to - from);
   }
-  return windows;
+  return total;
 }
 
-/// One pass over the columns, classifying each record's time into
-/// `class_count` groups via `classify` and accumulating per-group α-bin
-/// counts + record totals. The per-chunk partials merge in chunk order
-/// (counts are unit weights, so the sums are exact regardless, but the fixed
-/// order keeps the guarantee uniform across the codebase). Templated on the
-/// classifier so the per-record call inlines instead of going through a
-/// std::function dispatch.
-struct ClassCounts {
-  std::vector<stats::Histogram> counts;
-  std::vector<std::size_t> records;
-};
-
-template <typename ClassifyFn>
-ClassCounts classify_records(telemetry::SampleColumns columns, std::size_t class_count,
-                             const AutoSensOptions& options, const ClassifyFn& classify) {
-  const auto times = columns.times;
-  const auto latencies = columns.latencies;
-  const auto make_partial = [&] {
-    ClassCounts partial;
-    partial.counts.reserve(class_count);
-    for (std::size_t k = 0; k < class_count; ++k) {
-      partial.counts.push_back(
-          stats::Histogram::covering(0.0, options.max_latency_ms,
-                                     options.alpha_bin_width_ms,
-                                     stats::ScratchPool<double>::take()));
-    }
-    partial.records.assign(class_count, 0);
-    return partial;
-  };
-  // One α-bin geometry shared by every class histogram, so the latency bin
-  // indices can be batch-computed once per block (fused classify+fill: each
-  // column element is touched exactly once on its way into a class).
-  constexpr std::size_t kClassifyBlock = 1024;
-  return parallel_map_reduce<ClassCounts>(
-      times.size(), options.threads, kRecordChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto partial = make_partial();
-        const auto& geometry = partial.counts.front();
-        const double lo = geometry.lo();
-        const double width = geometry.bin_width();
-        const std::size_t bins = geometry.size();
-        std::array<std::uint32_t, kClassifyBlock> bin;
-        for (std::size_t offset = begin; offset < end; offset += kClassifyBlock) {
-          const std::size_t m = std::min(kClassifyBlock, end - offset);
-          simd::bin_indices(latencies.subspan(offset, m), lo, width, bins,
-                            std::span<std::uint32_t>(bin.data(), m));
-          // Class assignment + adds replay in element order, exactly like the
-          // unfused loop, so the chunk-order determinism guarantee holds.
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t k = classify(times[offset + i]);
-            partial.counts[k].add_at(bin[i]);
-            ++partial.records[k];
-          }
-        }
-        return partial;
-      },
-      [class_count](ClassCounts& accumulator, ClassCounts&& partial) {
-        for (std::size_t k = 0; k < class_count; ++k) {
-          merge_and_recycle(accumulator.counts[k], std::move(partial.counts[k]));
-          accumulator.records[k] += partial.records[k];
-        }
-      });
-}
-
-/// Time-of-day class of `time_ms` for `slot_ms`-wide slots (robust to
-/// negative timestamps).
-inline std::size_t time_of_day_class(std::int64_t time_ms, std::int64_t slot_ms) noexcept {
-  return static_cast<std::size_t>(((time_ms % telemetry::kMillisPerDay) +
-                                   telemetry::kMillisPerDay) %
-                                  telemetry::kMillisPerDay / slot_ms);
-}
-
-}  // namespace
-
-TimeNormalizer::TimeNormalizer(const telemetry::Dataset& dataset,
-                               const AutoSensOptions& options)
-    : TimeNormalizer(
-          [&] {
-            if (!dataset.empty() && !dataset.is_sorted()) {
-              throw std::invalid_argument("TimeNormalizer: dataset not sorted");
-            }
-            return dataset.columns();
-          }(),
-          options) {}
-
-TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options)
-    : options_(options) {
-  obs::Span span("alpha_estimate");
-  span.attr("records", static_cast<std::int64_t>(columns.size()));
-  if (columns.empty()) throw std::invalid_argument("TimeNormalizer: empty dataset");
-  if (options_.alpha_slot_ms <= 0 ||
-      telemetry::kMillisPerDay % options_.alpha_slot_ms != 0) {
+/// Number of time-of-day classes; throws unless options.alpha_slot_ms
+/// divides a day.
+std::size_t slot_classes(const AutoSensOptions& options) {
+  if (options.alpha_slot_ms <= 0 ||
+      telemetry::kMillisPerDay % options.alpha_slot_ms != 0) {
     throw std::invalid_argument("TimeNormalizer: alpha_slot_ms must evenly divide a day");
   }
-  const int class_count =
-      static_cast<int>(telemetry::kMillisPerDay / options_.alpha_slot_ms);
+  return static_cast<std::size_t>(telemetry::kMillisPerDay / options.alpha_slot_ms);
+}
 
-  const std::int64_t data_begin = columns.begin_time();
-  const std::int64_t data_end = columns.end_time();
-  const auto times = columns.times;
-  const auto latencies = columns.latencies;
-
-  // Per-class counts and unbiased time fractions, pooled across days. Each
-  // time-of-day class builds its windows and fraction histogram
-  // independently — one task per class.
-  std::vector<SlotData> data;
-  data.reserve(static_cast<std::size_t>(class_count));
-  for (int k = 0; k < class_count; ++k) {
-    data.push_back(SlotData{.counts = stats::Histogram::covering(0.0, options_.max_latency_ms,
-                                                                 options_.alpha_bin_width_ms),
-                            .fractions = stats::Histogram::covering(
-                                0.0, options_.max_latency_ms, options_.alpha_bin_width_ms),
-                            .records = 0,
-                            .total_time = 0.0});
+/// The α inputs of `rows` (sorted, all on calendar day `day`), each class
+/// window clipped to [clip_begin, clip_end), which holds every row. A
+/// class's rows are one contiguous run, found by binary search.
+DayAlphaInputs day_alpha_inputs(telemetry::SampleColumns rows, std::int64_t day,
+                                std::int64_t clip_begin, std::int64_t clip_end,
+                                const AutoSensOptions& options) {
+  const std::size_t classes = slot_classes(options);
+  const std::int64_t slot_ms = options.alpha_slot_ms;
+  const auto histogram = [&] {
+    return stats::Histogram::covering(0.0, options.max_latency_ms,
+                                      options.alpha_bin_width_ms);
+  };
+  DayAlphaInputs inputs;
+  inputs.counts.reserve(classes);
+  inputs.fractions.reserve(classes);
+  inputs.records.reserve(classes);
+  std::size_t first = 0;
+  for (std::size_t k = 0; k < classes; ++k) {
+    const std::int64_t slot_begin =
+        day * telemetry::kMillisPerDay + static_cast<std::int64_t>(k) * slot_ms;
+    const auto last = static_cast<std::size_t>(
+        std::lower_bound(rows.times.begin() + static_cast<std::ptrdiff_t>(first),
+                         rows.times.end(), slot_begin + slot_ms) -
+        rows.times.begin());
+    auto counts = histogram();
+    auto fractions = histogram();
+    if (last > first) {
+      const auto latencies = rows.latencies.subspan(first, last - first);
+      counts.add_all(latencies);
+      add_window_unbiased(fractions, rows.times.subspan(first, last - first), latencies,
+                          {.begin_ms = std::max(slot_begin, clip_begin),
+                           .end_ms = std::min(slot_begin + slot_ms, clip_end)});
+    }
+    inputs.counts.push_back(std::move(counts));
+    inputs.fractions.push_back(std::move(fractions));
+    inputs.records.push_back(last - first);
+    first = last;
   }
-  parallel_for_items(static_cast<std::size_t>(class_count), options_.threads,
-                     [&](std::size_t k) {
-                       const auto windows = class_windows(static_cast<int>(k),
-                                                          options_.alpha_slot_ms, data_begin,
-                                                          data_end);
-                       data[k].fractions = unbiased_histogram_over_windows_sorted(
-                           times, latencies, windows, options_.alpha_bin_width_ms,
-                           options_.max_latency_ms);
-                       for (const auto& w : windows) {
-                         data[k].total_time += static_cast<double>(w.length());
-                       }
-                     });
+  return inputs;
+}
 
-  const std::int64_t slot_ms = options_.alpha_slot_ms;
-  auto classified = classify_records(
-      columns, static_cast<std::size_t>(class_count), options_,
-      [slot_ms](std::int64_t time_ms) { return time_of_day_class(time_ms, slot_ms); });
-  for (int k = 0; k < class_count; ++k) {
-    auto& sd = data[static_cast<std::size_t>(k)];
-    sd.counts = std::move(classified.counts[static_cast<std::size_t>(k)]);
-    sd.records = classified.records[static_cast<std::size_t>(k)];
+/// The rows of one day range.
+telemetry::SampleColumns day_rows(telemetry::SampleColumns columns, std::size_t first,
+                                  std::size_t last) {
+  return {columns.times.subspan(first, last - first),
+          columns.latencies.subspan(first, last - first)};
+}
+
+/// The one α-from-inputs body: folds `days` (one entry per non-empty day,
+/// in day order) per class, adds the window-length sum over [begin, end),
+/// then estimates each class's α against the busiest reference classes.
+std::vector<SlotStat> estimate_slots(std::span<const DayAlphaInputs* const> days,
+                                     std::int64_t begin, std::int64_t end,
+                                     const AutoSensOptions& options) {
+  const std::size_t classes = slot_classes(options);
+  // Per-class counts and unbiased time fractions, pooled across days: each
+  // day's entry folds in day order (the window order of the class), the
+  // counts being integers and the fractions one merge per window.
+  std::vector<SlotData> data;
+  data.reserve(classes);
+  for (std::size_t k = 0; k < classes; ++k) {
+    SlotData sd{.counts = stats::Histogram::covering(0.0, options.max_latency_ms,
+                                                     options.alpha_bin_width_ms),
+                .fractions = stats::Histogram::covering(0.0, options.max_latency_ms,
+                                                        options.alpha_bin_width_ms),
+                .records = 0,
+                .total_time = class_time(static_cast<int>(k), options.alpha_slot_ms,
+                                         begin, end)};
+    for (const DayAlphaInputs* day : days) {
+      if (day->records[k] == 0) continue;  // Zero entries: adding them is a no-op.
+      sd.counts.merge(day->counts[k]);
+      sd.fractions.merge(day->fractions[k]);
+      sd.records += day->records[k];
+    }
+    data.push_back(std::move(sd));
   }
 
   // Reference slots: the busiest classes with enough data (the paper picks
@@ -221,8 +166,8 @@ TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
   });
   std::vector<std::size_t> references;
   for (const std::size_t idx : order) {
-    if (references.size() >= options_.alpha_reference_slots) break;
-    if (data[idx].records >= options_.alpha_min_slot_records) references.push_back(idx);
+    if (references.size() >= options.alpha_reference_slots) break;
+    if (data[idx].records >= options.alpha_min_slot_records) references.push_back(idx);
   }
   if (references.empty()) references.push_back(order.front());
 
@@ -235,10 +180,11 @@ TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
   }
   reference_rate /= static_cast<double>(references.size());
 
-  slots_.reserve(data.size());
-  for (int k = 0; k < class_count; ++k) {
-    const auto& sd = data[static_cast<std::size_t>(k)];
-    SlotStat stat{.slot = k,
+  std::vector<SlotStat> slots;
+  slots.reserve(data.size());
+  for (std::size_t k = 0; k < classes; ++k) {
+    const auto& sd = data[k];
+    SlotStat stat{.slot = static_cast<int>(k),
                   .records = sd.records,
                   .total_time_ms = sd.total_time,
                   .alpha = 1.0,
@@ -261,12 +207,98 @@ TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
       stat.alpha = std::max(rate / reference_rate, kAlphaFloor);
       stat.alpha_from_fallback = true;
     }
-    slots_.push_back(stat);
+    slots.push_back(stat);
   }
+  return slots;
+}
+
+}  // namespace
+
+std::vector<DayRange> day_ranges(std::span<const std::int64_t> times) {
+  const std::int64_t first_day = telemetry::day_index(times.front());
+  const std::int64_t last_day = telemetry::day_index(times.back());
+  std::vector<DayRange> days;
+  days.reserve(static_cast<std::size_t>(last_day - first_day) + 1);
+  std::size_t cursor = 0;
+  for (std::int64_t day = first_day; day <= last_day; ++day) {
+    const auto it = std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(cursor),
+                                     times.end(), (day + 1) * telemetry::kMillisPerDay);
+    const auto next = static_cast<std::size_t>(it - times.begin());
+    if (next > cursor) days.push_back({day, cursor, next});
+    cursor = next;
+  }
+  return days;
+}
+
+AlphaDayTable::AlphaDayTable(telemetry::SampleColumns parent, const AutoSensOptions& options)
+    : slot_ms_(options.alpha_slot_ms) {
+  obs::Span span("alpha_day_table");
+  if (parent.empty()) throw std::invalid_argument("AlphaDayTable: empty dataset");
+  slot_classes(options);  // Throws on a slot width that does not divide a day.
+  const auto days = day_ranges(parent.times);
+  span.attr("days", static_cast<std::int64_t>(days.size()));
+  days_.resize(days.size());
+  parallel_for_items(days.size(), options.threads, [&](std::size_t i) {
+    // The whole day: its class windows are not clipped to the parent's ends.
+    const std::int64_t day_begin = days[i].day * telemetry::kMillisPerDay;
+    days_[i] = day_alpha_inputs(day_rows(parent, days[i].first, days[i].last), days[i].day,
+                                day_begin, day_begin + telemetry::kMillisPerDay, options);
+  });
+}
+
+TimeNormalizer::TimeNormalizer(const telemetry::Dataset& dataset,
+                               const AutoSensOptions& options)
+    : TimeNormalizer(
+          [&] {
+            if (!dataset.empty() && !dataset.is_sorted()) {
+              throw std::invalid_argument("TimeNormalizer: dataset not sorted");
+            }
+            return dataset.columns();
+          }(),
+          options) {}
+
+TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
+                               const AutoSensOptions& options)
+    : TimeNormalizer(columns, options, nullptr) {}
+
+TimeNormalizer::TimeNormalizer(DrawnDays days, telemetry::SampleColumns columns,
+                               const AutoSensOptions& options)
+    : TimeNormalizer(columns, options, &days) {}
+
+TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
+                               const AutoSensOptions& options, const DrawnDays* draw)
+    : options_(options) {
+  obs::Span span("alpha_estimate");
+  span.attr("records", static_cast<std::int64_t>(columns.size()));
+  if (columns.empty()) throw std::invalid_argument("TimeNormalizer: empty dataset");
+  slot_classes(options_);  // Throws on a slot width that does not divide a day.
+  const std::int64_t begin = columns.begin_time();
+  const std::int64_t end = columns.end_time();
+  const auto days = day_ranges(columns.times);
+  if (draw != nullptr && (draw->drawn.size() != days.size() ||
+                          draw->table.slot_ms_ != options_.alpha_slot_ms)) {
+    throw std::invalid_argument("TimeNormalizer: the draw does not match the columns");
+  }
+  // A drawn day other than the first and last is whole, so its inputs are
+  // the table's; every other day's come from its rows, one task per day.
+  const auto from_table = [&](std::size_t i) {
+    return draw != nullptr && i > 0 && i + 1 < days.size();
+  };
+  std::vector<DayAlphaInputs> computed(days.size());
+  parallel_for_items(days.size(), options_.threads, [&](std::size_t i) {
+    if (from_table(i)) return;
+    computed[i] = day_alpha_inputs(day_rows(columns, days[i].first, days[i].last),
+                                   days[i].day, begin, end, options_);
+  });
+  std::vector<const DayAlphaInputs*> sequence(days.size());
+  for (std::size_t i = 0; i < days.size(); ++i) {
+    sequence[i] = from_table(i) ? &draw->table.days_.at(draw->drawn[i]) : &computed[i];
+  }
+  slots_ = estimate_slots(sequence, begin, end, options_);
 }
 
 double TimeNormalizer::alpha_at(std::int64_t time_ms) const noexcept {
-  const auto k = time_of_day_class(time_ms, options_.alpha_slot_ms);
+  const auto k = TimeOfDayCursor(options_.alpha_slot_ms)(time_ms);
   return k < slots_.size() ? slots_[k].alpha : 1.0;
 }
 
@@ -279,7 +311,6 @@ stats::Histogram TimeNormalizer::normalized_biased(telemetry::SampleColumns colu
   for (std::size_t k = 0; k < slots_.size(); ++k) {
     inverse_alpha[k] = 1.0 / slots_[k].alpha;
   }
-  const std::int64_t slot_ms = options_.alpha_slot_ms;
   return parallel_map_reduce<stats::Histogram>(
       times.size(), options_.threads, kRecordChunk,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
@@ -289,8 +320,9 @@ stats::Histogram TimeNormalizer::normalized_biased(telemetry::SampleColumns colu
         std::vector<double> weights = stats::ScratchPool<double>::take();
         weights.clear();
         weights.reserve(end - begin);
+        TimeOfDayCursor time_of_day(options_.alpha_slot_ms);
         for (std::size_t i = begin; i < end; ++i) {
-          const auto k = time_of_day_class(times[i], slot_ms);
+          const auto k = time_of_day(times[i]);
           weights.push_back(k < inverse_alpha.size() ? inverse_alpha[k] : 1.0);
         }
         histogram.add_all(latencies.subspan(begin, end - begin), weights);
@@ -324,6 +356,7 @@ std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(
     const telemetry::Dataset& dataset, const AutoSensOptions& options,
     telemetry::DayPeriod reference) {
   if (dataset.empty()) throw std::invalid_argument("alpha_by_period: empty dataset");
+  if (!dataset.is_sorted()) throw std::invalid_argument("alpha_by_period: dataset not sorted");
   const auto times = dataset.times();
   const auto latencies = dataset.latencies();
 
@@ -341,21 +374,18 @@ std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(
     const auto windows = period_windows(dataset, static_cast<telemetry::DayPeriod>(p));
     data[p].fractions = unbiased_histogram_over_windows_sorted(
         times, latencies, windows, options.alpha_bin_width_ms, options.max_latency_ms);
-    for (const auto& w : windows) data[p].total_time += static_cast<double>(w.length());
+    // The four periods' windows tile [begin, end), so a period's records are
+    // the contiguous runs of rows inside its windows.
+    for (const auto& w : windows) {
+      data[p].total_time += static_cast<double>(w.length());
+      const auto first = std::lower_bound(times.begin(), times.end(), w.begin_ms);
+      const auto last = std::lower_bound(first, times.end(), w.end_ms);
+      const auto count = static_cast<std::size_t>(last - first);
+      data[p].counts.add_all(
+          latencies.subspan(static_cast<std::size_t>(first - times.begin()), count));
+      data[p].records += count;
+    }
   });
-
-  // Classify every record's period ONCE in a single pass (the old code
-  // rescanned the whole dataset for each of the four periods).
-  auto classified = classify_records(
-      dataset.columns(), telemetry::kDayPeriodCount, options, [](std::int64_t time_ms) {
-        return static_cast<std::size_t>(telemetry::day_period(time_ms));
-      });
-  for (int p = 0; p < telemetry::kDayPeriodCount; ++p) {
-    data[static_cast<std::size_t>(p)].counts =
-        std::move(classified.counts[static_cast<std::size_t>(p)]);
-    data[static_cast<std::size_t>(p)].records =
-        classified.records[static_cast<std::size_t>(p)];
-  }
 
   const auto& ref = data[static_cast<std::size_t>(reference)];
   const double ref_mass = ref.fractions.total_weight();

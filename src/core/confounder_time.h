@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/options.h"
@@ -40,6 +41,57 @@ struct SlotStat {
   bool alpha_from_fallback = false;  ///< True if the per-bin estimate failed.
 };
 
+/// One non-empty calendar day of sorted times: its day index and its row
+/// range [first, last).
+struct DayRange {
+  std::int64_t day = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+/// The non-empty days of sorted, non-empty `times`, in order: one binary
+/// search per calendar day, O(days · log rows).
+std::vector<DayRange> day_ranges(std::span<const std::int64_t> times);
+
+/// The α inputs of one day, per time-of-day class: the α-bin counts and the
+/// record count of the day's rows in the class, and the U fraction histogram
+/// of the day's class window, from only the samples inside it
+/// (duration-weighted; zero when the window holds no sample). α pools a
+/// class across days by folding these entries in day order.
+struct DayAlphaInputs {
+  std::vector<stats::Histogram> counts;
+  std::vector<stats::Histogram> fractions;
+  std::vector<std::size_t> records;
+};
+
+/// The α inputs of every non-empty day of a day-block bootstrap's parent,
+/// each class window whole (not clipped at the parent's first or last row):
+/// entry i belongs to day_ranges(parent)[i], the unit a resample draws. A
+/// whole-day shift keeps every row's class and every in-window Voronoi cell
+/// (cell edges are exact half-integer milliseconds), so a resample's whole
+/// days have exactly these inputs. Built per analyze_with_confidence call;
+/// nothing keeps it beyond that.
+class AlphaDayTable {
+ public:
+  /// `parent` sorted (not checked) and non-empty; options.alpha_slot_ms must
+  /// divide a day (std::invalid_argument otherwise).
+  AlphaDayTable(telemetry::SampleColumns parent, const AutoSensOptions& options);
+
+  std::size_t size() const noexcept { return days_.size(); }
+
+ private:
+  friend class TimeNormalizer;
+  std::int64_t slot_ms_ = 0;
+  std::vector<DayAlphaInputs> days_;
+};
+
+/// A day-block resample's α source: its parent's table and, for each of its
+/// days in order, the table entry drawn onto that day.
+struct DrawnDays {
+  const AlphaDayTable& table;
+  std::span<const std::size_t> drawn;
+};
+
 class TimeNormalizer {
  public:
   /// Estimates α for every time-of-day slot. The dataset must be sorted and
@@ -49,8 +101,20 @@ class TimeNormalizer {
 
   /// The same over sorted-by-construction columns (a bootstrap resample, a
   /// checked dataset's columns). Precondition (not checked): columns.times
-  /// sorted ascending.
+  /// sorted ascending. Computes each day's α inputs with the class windows
+  /// clipped to the columns' [begin, end) and folds them in day order.
   TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options);
+
+  /// The same, bit for bit, for columns whose s-th non-empty day holds the
+  /// rows of table entry days.drawn[s], shifted by whole days: a day-block
+  /// resample of the table's parent, or the parent itself with drawn[s] = s.
+  /// The days between the first and last fold the table's inputs; only
+  /// those two, clipped at the data's ends, are computed from `columns`.
+  /// Throws std::invalid_argument when the draw's length is not the
+  /// columns' day count or the table's slot width differs, and
+  /// std::out_of_range when it names a day outside the table.
+  TimeNormalizer(DrawnDays days, telemetry::SampleColumns columns,
+                 const AutoSensOptions& options);
 
   /// One entry per time-of-day class (even classes without records).
   const std::vector<SlotStat>& slots() const noexcept { return slots_; }
@@ -63,8 +127,53 @@ class TimeNormalizer {
   stats::Histogram normalized_biased(telemetry::SampleColumns columns) const;
 
  private:
+  /// Both public column constructors: α from the rows, or from `draw`.
+  TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options,
+                 const DrawnDays* draw);
+
   AutoSensOptions options_;
   std::vector<SlotStat> slots_;
+};
+
+/// Time-of-day classes of successive times for `slot_ms`-wide slots
+/// (slot_ms divides a day): the class of t is ((t mod day) + day) mod day /
+/// slot_ms. Remembers the last row's slot, so a time in the same or the next
+/// slot — every row but a slot's first, or a gap's, in sorted input — costs
+/// a compare instead of a 64-bit division; any other time falls back to the
+/// division. Same classes for any input order.
+class TimeOfDayCursor {
+ public:
+  explicit TimeOfDayCursor(std::int64_t slot_ms) noexcept
+      : slot_ms_(slot_ms),
+        classes_(static_cast<std::size_t>(telemetry::kMillisPerDay / slot_ms)),
+        begin_(-slot_ms),
+        class_(classes_ - 1) {}
+
+  std::size_t operator()(std::int64_t time_ms) noexcept {
+    if (time_ms >= begin_ && time_ms < end_) return class_;
+    if (time_ms >= end_ && time_ms < end_ + slot_ms_) {
+      begin_ = end_;
+      end_ += slot_ms_;
+      class_ = class_ + 1 == classes_ ? 0 : class_ + 1;
+      return class_;
+    }
+    const std::int64_t time_of_day =
+        (time_ms % telemetry::kMillisPerDay + telemetry::kMillisPerDay) %
+        telemetry::kMillisPerDay;
+    class_ = static_cast<std::size_t>(time_of_day / slot_ms_);
+    begin_ = time_ms - time_of_day % slot_ms_;
+    end_ = begin_ + slot_ms_;
+    return class_;
+  }
+
+ private:
+  std::int64_t slot_ms_;
+  std::size_t classes_;
+  // The last slot seen, [begin_, end_), and its class; [-slot_ms, 0) before
+  // the first call.
+  std::int64_t begin_;
+  std::int64_t end_ = 0;
+  std::size_t class_;
 };
 
 /// α per 6-hour day period as a function of latency (paper Fig 8), with the

@@ -60,14 +60,16 @@ AnalysisResult finish_analysis(std::size_t records, stats::Histogram biased,
                         .slots = std::move(slots)};
 }
 
-}  // namespace
-
+/// biased_distribution, with α from `days` when given (a bootstrap
+/// replicate) and from the rows otherwise.
 stats::Histogram biased_distribution(telemetry::SampleColumns columns,
                                      const AutoSensOptions& options,
-                                     std::vector<SlotStat>& slots) {
+                                     std::vector<SlotStat>& slots, const DrawnDays* days) {
   if (options.normalize_time_confounder) {
     obs::Span span("alpha_normalize", &metrics().alpha_ms);
-    const TimeNormalizer normalizer(columns, options);
+    const TimeNormalizer normalizer = days != nullptr
+                                          ? TimeNormalizer(*days, columns, options)
+                                          : TimeNormalizer(columns, options);
     slots = normalizer.slots();
     span.attr("slots", static_cast<std::int64_t>(slots.size()));
     return normalizer.normalized_biased(columns);
@@ -76,13 +78,14 @@ stats::Histogram biased_distribution(telemetry::SampleColumns columns,
   return biased_histogram(columns.latencies, options);
 }
 
-AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
-                                const AutoSensOptions& options) {
+/// analyze_detailed over columns, α as in biased_distribution above.
+AnalysisResult analyze_columns(telemetry::SampleColumns columns,
+                               const AutoSensOptions& options, const DrawnDays* days) {
   if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
   metrics().records.inc(columns.size());
 
   std::vector<SlotStat> slots;
-  stats::Histogram biased = biased_distribution(columns, options, slots);
+  stats::Histogram biased = biased_distribution(columns, options, slots, days);
 
   stats::Histogram unbiased = [&] {
     obs::Span span("unbiased", &metrics().unbiased_ms);
@@ -92,6 +95,24 @@ AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
   }();
   return finish_analysis(columns.size(), std::move(biased), std::move(unbiased),
                          std::move(slots), options);
+}
+
+}  // namespace
+
+stats::Histogram biased_distribution(telemetry::SampleColumns columns,
+                                     const AutoSensOptions& options,
+                                     std::vector<SlotStat>& slots) {
+  return biased_distribution(columns, options, slots, nullptr);
+}
+
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options) {
+  return analyze_columns(columns, options, nullptr);
+}
+
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns, DrawnDays days,
+                                const AutoSensOptions& options) {
+  return analyze_columns(columns, options, &days);
 }
 
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,

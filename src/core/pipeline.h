@@ -29,6 +29,12 @@ struct AnalysisResult {
 AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
                                 const AutoSensOptions& options);
 
+/// The same, bit for bit, with α folded from a day table (see
+/// TimeNormalizer(DrawnDays, ...)) instead of re-estimated from every row.
+/// `days` is used only when options.normalize_time_confounder.
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns, DrawnDays days,
+                                const AutoSensOptions& options);
+
 /// The same on a scrubbed dataset: checks that it is sorted (throws
 /// std::invalid_argument otherwise), then analyzes its columns.
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,

@@ -112,16 +112,19 @@ stats::Histogram unbiased_histogram_over_windows_sorted(
           const auto lo = static_cast<std::size_t>(first - times.begin());
           const auto count = static_cast<std::size_t>(last - first);
           if (count == 0) continue;
-          auto weights =
-              stats::voronoi_weights(times.subspan(lo, count), window.begin_ms, window.end_ms);
-          // Weight by window duration so pooled U is time-weighted across windows.
-          const double duration = static_cast<double>(window.length());
-          simd::scale(weights, duration);
-          histogram.add_all(latencies.subspan(lo, count), weights);
+          add_window_unbiased(histogram, times.subspan(lo, count),
+                              latencies.subspan(lo, count), window);
         }
         return histogram;
       },
       merge_and_recycle);
+}
+
+void add_window_unbiased(stats::Histogram& histogram, std::span<const std::int64_t> times,
+                         std::span<const double> latencies, TimeWindow window) {
+  auto weights = stats::voronoi_weights(times, window.begin_ms, window.end_ms);
+  simd::scale(weights, static_cast<double>(window.length()));
+  histogram.add_all(latencies, weights);
 }
 
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,

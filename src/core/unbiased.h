@@ -60,6 +60,15 @@ stats::Histogram unbiased_histogram_over_windows_sorted(
     std::span<const TimeWindow> windows, double bin_width_ms, double max_latency_ms,
     std::size_t threads = 1);
 
+/// Adds one window's share of a pooled U into `histogram`: the Voronoi
+/// weights of `times` within `window`, scaled by the window's duration (so
+/// pooled U is time-weighted across windows). `times` (sorted, non-empty,
+/// aligned with `latencies`) must be exactly the samples inside the window.
+/// The unit both unbiased_histogram_over_windows and the α fractions
+/// (confounder_time.h) are folded from.
+void add_window_unbiased(stats::Histogram& histogram, std::span<const std::int64_t> times,
+                         std::span<const double> latencies, TimeWindow window);
+
 /// U over sorted columns' own [begin, end) window, honoring
 /// options.unbiased_method. Precondition (not checked): times sorted.
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,

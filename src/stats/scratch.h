@@ -1,7 +1,7 @@
 // Reusable scratch buffers for allocation-free hot loops.
 //
-// The parallel estimators (biased fill, unbiased MC/Voronoi, α
-// classification) build one partial histogram — a `bin_count`-double buffer —
+// The parallel estimators (biased fill, unbiased MC/Voronoi, α-normalized
+// fill) build one partial histogram — a `bin_count`-double buffer —
 // per chunk, and the bootstrap views materialize a times + latencies column
 // per replicate. Allocating those buffers fresh every time puts the allocator
 // on the hot path; this pool recycles them instead.

@@ -9,7 +9,9 @@
 #      byte-for-byte (the round-trip golden property);
 #   5. a negative --threads is rejected before any work: `store build`
 #      writes nothing, and `alpha`/`analyze` fail on the flag before they
-#      open their input.
+#      open their input;
+#   6. a --replicates below 1 fails `analyze` and `store analyze` on the
+#      flag before they open their input.
 #
 # Usage: cli_store_e2e.sh <autosens_cli>
 set -euo pipefail
@@ -99,5 +101,29 @@ expect_threads_rejected store_build store build --in "$WORK/data.bin" \
 expect_threads_rejected alpha alpha --in "$WORK/data.bin" --threads -1
 expect_threads_rejected analyze analyze --in "$WORK/missing.bin" --threads -1
 expect_threads_rejected alpha_missing alpha --in "$WORK/missing.bin" --threads -1
+
+# --replicates below 1 (or not a number) is a flag error raised before the
+# input is opened: with a missing input it comes first.
+expect_replicates_rejected() {
+  local name="$1" message="$2"
+  shift 2
+  if "$CLI" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"; then
+    echo "FAIL: $name accepted a bad --replicates" >&2
+    exit 1
+  fi
+  grep -q -- "$message" "$WORK/$name.err" || {
+    echo "FAIL: $name did not reject --replicates by name before opening its input" >&2
+    cat "$WORK/$name.err" >&2
+    exit 1
+  }
+}
+expect_replicates_rejected analyze_replicates '--replicates must be >= 1' \
+    analyze --in "$WORK/missing.bin" --confidence --replicates -1
+expect_replicates_rejected analyze_replicates_zero '--replicates must be >= 1' \
+    analyze --in "$WORK/missing.bin" --confidence --replicates 0
+expect_replicates_rejected analyze_replicates_text 'flag --replicates expects an integer' \
+    analyze --in "$WORK/missing.bin" --confidence --replicates abc
+expect_replicates_rejected store_analyze_replicates '--replicates must be >= 1' \
+    store analyze --in "$WORK/missing_store" --confidence --replicates 0
 
 echo "PASS: cli store e2e ($rows rows)"

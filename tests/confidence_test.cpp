@@ -6,10 +6,13 @@
 #include <bit>
 #include <optional>
 #include <set>
+#include <string>
 #include <type_traits>
 
 #include "core/pipeline.h"
 #include "core/simd.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "simulate/generator.h"
 #include "simulate/presets.h"
 #include "stats/descriptive.h"
@@ -197,6 +200,28 @@ TEST(DayBlockResampleTest, BlocksOutsideTheParentThrow) {
   EXPECT_EQ(shifted.columns().latencies[1], 30.0);
 }
 
+TEST(DayBlockResampleTest, ExplicitDrawMatchesTheDatasetDraw) {
+  // day_block_resample(dataset, random) is draw_days + the explicit form,
+  // consuming the generator identically.
+  const auto slice = small_slice(71);
+  const auto columns = slice.columns();
+  const auto days = day_ranges(columns.times);
+  stats::Random rng(14);
+  stats::Random explicit_rng(14);
+  for (int round = 0; round < 2; ++round) {
+    const auto resampled = day_block_resample(slice, rng);
+    const auto drawn = draw_days(days.size(), explicit_rng);
+    const auto explicit_resample = day_block_resample(columns, days, drawn);
+    ASSERT_EQ(resampled.size(), explicit_resample.size());
+    const auto a = resampled.columns();
+    const auto b = explicit_resample.columns();
+    EXPECT_TRUE(std::equal(a.times.begin(), a.times.end(), b.times.begin()));
+    EXPECT_TRUE(std::equal(a.latencies.begin(), a.latencies.end(), b.latencies.begin()));
+  }
+  const std::vector<std::size_t> outside(days.size(), days.size());
+  EXPECT_THROW(day_block_resample(columns, days, outside), std::invalid_argument);
+}
+
 TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
   // One non-empty day → every draw picks it; the only effect is the rebase
   // onto day 0 (time-of-day preserved).
@@ -277,36 +302,100 @@ TEST(AnalyzeWithConfidenceTest, IntervalsCoverPointEstimate) {
   }
 }
 
-TEST(AnalyzeWithConfidenceTest, MatchesCopyOracleReplicateLoop) {
-  // The library's replicates (block tables on the parallel layer) against a
-  // serial loop over the reference copy: bit-identical intervals and usable
-  // counts at every thread count and on the scalar kernel path.
-  const auto slice = small_slice(67);
+/// analyze_with_confidence against the serial copy-oracle loop: a
+/// bit-identical point curve and intervals, equal usable counts.
+void expect_matches_copy_oracle(const telemetry::Dataset& slice,
+                                const AutoSensOptions& options,
+                                const ConfidenceOptions& confidence) {
   const std::vector<double> probes = {500.0, 1000.0, 2400.0};
+  stats::Random rng(8);
+  stats::Random copy_rng(8);
+  const auto got = analyze_with_confidence(slice, options, probes, confidence, rng);
+  const auto want = confidence_by_copy(slice, options, probes, confidence, copy_rng);
+  // The point estimate too: its α folds the parent's day table.
+  EXPECT_EQ(got.point.support_begin, want.point.support_begin);
+  EXPECT_EQ(got.point.support_end, want.point.support_end);
+  ASSERT_EQ(got.point.raw_ratio.size(), want.point.raw_ratio.size());
+  for (std::size_t i = 0; i < got.point.raw_ratio.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.point.raw_ratio[i]),
+              std::bit_cast<std::uint64_t>(want.point.raw_ratio[i]))
+        << "bin " << i;
+  }
+  EXPECT_EQ(got.usable_replicates, want.usable_replicates);
+  ASSERT_EQ(got.intervals.size(), want.intervals.size());
+  for (std::size_t p = 0; p < got.intervals.size(); ++p) {
+    // Bit for bit, not approximately: the block table is the same resample
+    // and its α folds the same per-day inputs.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].lo),
+              std::bit_cast<std::uint64_t>(want.intervals[p].lo))
+        << "probe " << p;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].hi),
+              std::bit_cast<std::uint64_t>(want.intervals[p].hi))
+        << "probe " << p;
+  }
+}
+
+TEST(AnalyzeWithConfidenceTest, MatchesCopyOracleReplicateLoop) {
+  // The library's replicates (block tables on the parallel layer, α folded
+  // from the parent's day table) against a serial loop over the reference
+  // copy, whose α is re-estimated from every row: bit-identical intervals
+  // and usable counts at every thread count, on the scalar kernel path, and
+  // with 30-minute α slots.
+  const auto slice = small_slice(67);
   const ConfidenceOptions confidence{.replicates = 8};
-  for (const bool scalar : {false, true}) {
-    if (scalar) simd::set_level_override(simd::Level::kScalar);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      AutoSensOptions options;
-      options.threads = threads;
-      stats::Random rng(8);
-      stats::Random copy_rng(8);
-      const auto got = analyze_with_confidence(slice, options, probes, confidence, rng);
-      const auto want = confidence_by_copy(slice, options, probes, confidence, copy_rng);
-      EXPECT_EQ(got.usable_replicates, want.usable_replicates) << threads;
-      ASSERT_EQ(got.intervals.size(), want.intervals.size());
-      for (std::size_t p = 0; p < got.intervals.size(); ++p) {
-        // Bit for bit, not approximately: the block table is the same resample.
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].lo),
-                  std::bit_cast<std::uint64_t>(want.intervals[p].lo))
-            << "threads " << threads << " scalar " << scalar << " probe " << p;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.intervals[p].hi),
-                  std::bit_cast<std::uint64_t>(want.intervals[p].hi))
-            << "threads " << threads << " scalar " << scalar << " probe " << p;
+  for (const std::int64_t slot_ms :
+       {telemetry::kMillisPerHour, telemetry::kMillisPerHour / 2}) {
+    for (const bool scalar : {false, true}) {
+      if (scalar) simd::set_level_override(simd::Level::kScalar);
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        AutoSensOptions options;
+        options.threads = threads;
+        options.alpha_slot_ms = slot_ms;
+        SCOPED_TRACE(::testing::Message() << "slot " << slot_ms << " scalar " << scalar
+                                          << " threads " << threads);
+        expect_matches_copy_oracle(slice, options, confidence);
       }
+      simd::set_level_override(std::nullopt);
     }
   }
-  simd::set_level_override(std::nullopt);
+}
+
+TEST(AnalyzeWithConfidenceTest, MatchesCopyOracleWithoutNormalization) {
+  AutoSensOptions options;
+  options.normalize_time_confounder = false;
+  options.threads = 2;
+  expect_matches_copy_oracle(small_slice(69), options, {.replicates = 6});
+}
+
+TEST(AnalyzeWithConfidenceTest, CountsEveryReplicateAsAPipelineRun) {
+  // Replicates still run the pipeline's shared tail and spans: the run
+  // counter rises by replicates + 1 per call, one α normalization per run;
+  // the day table is built once, and only when α is normalized.
+  const auto slice = small_slice(70);
+  obs::set_enabled(true);
+  obs::Tracer::global().set_enabled(true);
+  obs::Counter& runs = obs::registry().counter(
+      "autosens_pipeline_runs_total", "Completed analyze()/analyze_over_windows() runs");
+  const auto count_spans = [](const std::string& name) {
+    const auto spans = obs::Tracer::global().snapshot();
+    return std::count_if(spans.begin(), spans.end(),
+                         [&](const obs::SpanRecord& span) { return span.name == name; });
+  };
+  for (const bool normalize : {true, false}) {
+    obs::Tracer::global().clear();
+    AutoSensOptions options;
+    options.normalize_time_confounder = normalize;
+    stats::Random random(9);
+    const std::uint64_t before = runs.value();
+    analyze_with_confidence(slice, options, {500.0}, {.replicates = 5}, random);
+    EXPECT_EQ(runs.value() - before, 6u) << normalize;
+    EXPECT_EQ(count_spans("alpha_day_table"), normalize ? 1 : 0);
+    EXPECT_EQ(count_spans("alpha_normalize"), normalize ? 6 : 0);
+    EXPECT_EQ(count_spans("preference"), 6);
+  }
+  obs::Tracer::global().set_enabled(false);
+  obs::Tracer::global().clear();
+  obs::set_enabled(false);
 }
 
 TEST(AnalyzeWithConfidenceTest, IntervalsContainPlantedValueMostOfTheTime) {

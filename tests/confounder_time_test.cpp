@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "core/confidence.h"
 #include "stats/descriptive.h"
 #include "stats/rng.h"
 #include "simulate/generator.h"
@@ -135,6 +138,306 @@ TEST(TimeNormalizerTest, SlotStatsAccounting) {
   EXPECT_EQ(total, dataset.size());
 }
 
+TEST(TimeOfDayCursorTest, MatchesDivisionForm) {
+  // The cursor's classes against the per-row division it replaces, for
+  // sorted runs through slot and day edges (and one past them), negative
+  // times, gaps of several slots or days, and an unsorted order.
+  const auto by_division = [](std::int64_t t, std::int64_t slot_ms) {
+    return static_cast<std::size_t>((t % kDay + kDay) % kDay / slot_ms);
+  };
+  for (const std::int64_t slot_ms : {kHour / 4, kHour, 2 * kHour, kDay}) {
+    std::vector<std::int64_t> times;
+    for (std::int64_t edge = -3 * kDay; edge <= 3 * kDay; edge += slot_ms) {
+      for (const std::int64_t offset : {std::int64_t{-1}, std::int64_t{0}, std::int64_t{1}, slot_ms / 2}) {
+        times.push_back(edge + offset);
+      }
+    }
+    stats::Random random(static_cast<std::uint64_t>(slot_ms));
+    for (int i = 0; i < 2000; ++i) {
+      times.push_back(static_cast<std::int64_t>((random.uniform() - 0.5) * 40.0 * kDay));
+    }
+    times.push_back(std::int64_t{1'700'000'000'000});  // An epoch-scale time after a long gap.
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    TimeOfDayCursor sorted(slot_ms);
+    for (const std::int64_t t : times) {
+      ASSERT_EQ(sorted(t), by_division(t, slot_ms)) << "slot " << slot_ms << " t " << t;
+    }
+    std::shuffle(times.begin(), times.end(), random.engine());
+    TimeOfDayCursor shuffled(slot_ms);
+    for (const std::int64_t t : times) {
+      ASSERT_EQ(shuffled(t), by_division(t, slot_ms)) << "slot " << slot_ms << " t " << t;
+    }
+  }
+}
+
+/// Every SlotStat field, bit for bit.
+void expect_same_slots(const std::vector<SlotStat>& got, const std::vector<SlotStat>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const auto& a = got[k];
+    const auto& b = want[k];
+    EXPECT_EQ(a.slot, b.slot);
+    EXPECT_EQ(a.records, b.records) << "class " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_time_ms),
+              std::bit_cast<std::uint64_t>(b.total_time_ms))
+        << "class " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.alpha), std::bit_cast<std::uint64_t>(b.alpha))
+        << "class " << k;
+    EXPECT_EQ(a.alpha_from_fallback, b.alpha_from_fallback) << "class " << k;
+  }
+}
+
+/// For `dataset` itself and over `draws` seeded day-block resamples of it,
+/// the α folded from the parent's day table equals the α re-estimated from
+/// the rows.
+void expect_table_matches_rows(const telemetry::Dataset& dataset,
+                               const AutoSensOptions& options, int draws) {
+  const auto columns = dataset.columns();
+  const AlphaDayTable table(columns, options);
+  const auto days = day_ranges(columns.times);
+  ASSERT_EQ(table.size(), days.size());
+  // The parent itself, every day drawn onto itself (the point estimate).
+  std::vector<std::size_t> every_day(days.size());
+  for (std::size_t i = 0; i < every_day.size(); ++i) every_day[i] = i;
+  expect_same_slots(TimeNormalizer(DrawnDays{table, every_day}, columns, options).slots(),
+                    TimeNormalizer(columns, options).slots());
+  stats::Random random(31);
+  for (int r = 0; r < draws; ++r) {
+    const auto drawn = draw_days(days.size(), random);
+    const auto resample = day_block_resample(columns, days, drawn);
+    const TimeNormalizer folded(DrawnDays{table, drawn}, resample.columns(), options);
+    const TimeNormalizer rows(resample.columns(), options);
+    expect_same_slots(folded.slots(), rows.slots());
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "draw " << r;
+      return;
+    }
+  }
+}
+
+/// Days starting at an epoch-scale day: the first and last days cut
+/// mid-day, days 2 and 3 empty (squeezed out by a resample), night classes
+/// empty on alternate days, duplicate times, and rows exactly on slot edges.
+telemetry::Dataset ragged_days_dataset(int day_count) {
+  constexpr std::int64_t kBase = 19'000 * kDay;
+  telemetry::Dataset d;
+  stats::Random random(5);
+  for (int day = 0; day < day_count; ++day) {
+    if (day == 2 || day == 3) continue;
+    for (int hour = 0; hour < 24; ++hour) {
+      if (hour < 6 && day % 2 == 1) continue;
+      const std::int64_t hour_begin = kBase + day * kDay + hour * kHour;
+      const int count = hour >= 8 && hour < 20 ? 60 : 12;
+      for (int i = 0; i < count; ++i) {
+        std::int64_t t = hour_begin + static_cast<std::int64_t>(random.uniform() * kHour);
+        if (i == 0) t = hour_begin;                // exactly on a slot edge
+        if (i == 1) t = hour_begin + kHour / 2;    // a 30-minute edge
+        if (i == 2) t = hour_begin + kHour / 2;    // duplicate time
+        if (day == 0 && t < kBase + 10 * kHour + 17 * 60'000) continue;
+        if (day == day_count - 1 && t > kBase + day * kDay + 15 * kHour + 43 * 60'000) {
+          continue;
+        }
+        d.add({.time_ms = t, .user_id = 1, .latency_ms = 50.0 + random.uniform() * 900.0});
+      }
+    }
+  }
+  d.sort_by_time();
+  return d;
+}
+
+/// The class-window α estimate that per-day folding replaced, written out
+/// over public kernels: per time-of-day class, the U fractions of its daily
+/// windows clipped to the data range (unbiased_histogram_over_windows: one
+/// partial per window, merged in window order, while a class has at most
+/// 256 windows), counts by one division per row, then the same reference
+/// pick and α formula. TimeNormalizer must match it bit for bit up to 256
+/// days.
+std::vector<SlotStat> class_window_alpha(const telemetry::Dataset& dataset,
+                                         const AutoSensOptions& options) {
+  constexpr double kMinTimeFraction = 1e-3;
+  constexpr double kMinReferenceCount = 10.0;
+  constexpr double kAlphaFloor = 0.02;
+  struct Class {
+    stats::Histogram counts;
+    stats::Histogram fractions;
+    std::size_t records = 0;
+    double time = 0.0;
+  };
+  const std::int64_t slot = options.alpha_slot_ms;
+  const std::size_t classes = static_cast<std::size_t>(kDay / slot);
+  const std::int64_t begin = dataset.begin_time();
+  const std::int64_t end = dataset.end_time();
+  std::vector<Class> data;
+  for (std::size_t k = 0; k < classes; ++k) {
+    std::vector<TimeWindow> windows;
+    for (std::int64_t day = telemetry::day_index(begin); day * kDay < end; ++day) {
+      const std::int64_t from = std::max(day * kDay + static_cast<std::int64_t>(k) * slot, begin);
+      const std::int64_t to =
+          std::min(day * kDay + static_cast<std::int64_t>(k + 1) * slot, end);
+      if (to > from) windows.push_back({.begin_ms = from, .end_ms = to});
+    }
+    Class c{.counts = stats::Histogram::covering(0.0, options.max_latency_ms,
+                                                 options.alpha_bin_width_ms),
+            .fractions = unbiased_histogram_over_windows(
+                dataset.times(), dataset.latencies(), windows, options.alpha_bin_width_ms,
+                options.max_latency_ms)};
+    for (const auto& w : windows) c.time += static_cast<double>(w.length());
+    data.push_back(std::move(c));
+  }
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const std::int64_t t = dataset[i].time_ms;
+    auto& c = data[static_cast<std::size_t>((t % kDay + kDay) % kDay / slot)];
+    c.counts.add(dataset[i].latency_ms);
+    ++c.records;
+  }
+  std::vector<std::size_t> order(classes);
+  for (std::size_t k = 0; k < classes; ++k) order[k] = k;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return data[a].records > data[b].records; });
+  std::vector<std::size_t> references;
+  for (const std::size_t k : order) {
+    if (references.size() >= options.alpha_reference_slots) break;
+    if (data[k].records >= options.alpha_min_slot_records) references.push_back(k);
+  }
+  if (references.empty()) references.push_back(order.front());
+  double reference_rate = 0.0;
+  for (const std::size_t r : references) {
+    reference_rate += data[r].time > 0.0 ? static_cast<double>(data[r].records) / data[r].time
+                                         : 0.0;
+  }
+  reference_rate /= static_cast<double>(references.size());
+  const auto pair_alpha = [&](const Class& c, const Class& r) {
+    const double c_mass = c.fractions.total_weight();
+    const double r_mass = r.fractions.total_weight();
+    if (c_mass <= 0.0 || r_mass <= 0.0 || c.time <= 0.0 || r.time <= 0.0) {
+      return std::nan("");
+    }
+    double sum = 0.0;
+    std::size_t bins = 0;
+    for (std::size_t i = 0; i < c.counts.size(); ++i) {
+      const double f_c = c.fractions.count(i) / c_mass;
+      const double f_r = r.fractions.count(i) / r_mass;
+      if (f_c < kMinTimeFraction || f_r < kMinTimeFraction ||
+          r.counts.count(i) < kMinReferenceCount) {
+        continue;
+      }
+      sum += (c.counts.count(i) / (f_c * c.time)) / (r.counts.count(i) / (f_r * r.time));
+      ++bins;
+    }
+    return bins > 0 ? sum / static_cast<double>(bins) : std::nan("");
+  };
+  std::vector<SlotStat> slots;
+  for (std::size_t k = 0; k < classes; ++k) {
+    SlotStat stat{.slot = static_cast<int>(k), .records = data[k].records,
+                  .total_time_ms = data[k].time};
+    double sum = 0.0;
+    std::size_t used = 0;
+    for (const std::size_t r : references) {
+      const double a = pair_alpha(data[k], data[r]);
+      if (std::isfinite(a) && a > 0.0) {
+        sum += a;
+        ++used;
+      }
+    }
+    if (used > 0) {
+      stat.alpha = std::max(sum / static_cast<double>(used), kAlphaFloor);
+    } else {
+      const double rate =
+          data[k].time > 0.0 ? static_cast<double>(data[k].records) / data[k].time : 0.0;
+      stat.alpha = std::max(rate / reference_rate, kAlphaFloor);
+      stat.alpha_from_fallback = true;
+    }
+    slots.push_back(stat);
+  }
+  return slots;
+}
+
+TEST(AlphaDayTableTest, RowPathMatchesTheClassWindowEstimate) {
+  const auto ragged = ragged_days_dataset(9);
+  for (const std::int64_t slot_ms : {kHour / 2, kHour, 2 * kHour}) {
+    AutoSensOptions options;
+    options.alpha_slot_ms = slot_ms;
+    SCOPED_TRACE(slot_ms);
+    expect_same_slots(TimeNormalizer(ragged, options).slots(),
+                      class_window_alpha(ragged, options));
+  }
+  auto generated =
+      simulate::WorkloadGenerator(simulate::paper_config(simulate::Scale::kSmall, 42))
+          .generate();
+  const auto dataset = telemetry::validate(generated.dataset).dataset;
+  expect_same_slots(TimeNormalizer(dataset, AutoSensOptions{}).slots(),
+                    class_window_alpha(dataset, AutoSensOptions{}));
+}
+
+TEST(AlphaDayTableTest, TablePathMatchesRowPath) {
+  const auto dataset = ragged_days_dataset(9);
+  for (const std::int64_t slot_ms : {kHour / 2, kHour, 2 * kHour}) {
+    AutoSensOptions options;
+    options.alpha_slot_ms = slot_ms;
+    options.threads = 1;
+    SCOPED_TRACE(slot_ms);
+    expect_table_matches_rows(dataset, options, 40);
+  }
+}
+
+TEST(AlphaDayTableTest, TablePathMatchesRowPathOnGeneratedData) {
+  auto generated =
+      simulate::WorkloadGenerator(simulate::paper_config(simulate::Scale::kSmall, 41))
+          .generate();
+  const auto dataset = telemetry::validate(generated.dataset).dataset;
+  AutoSensOptions options;
+  options.threads = 4;
+  expect_table_matches_rows(dataset, options, 12);
+}
+
+TEST(AlphaDayTableTest, SingleDayDataset) {
+  // One day, cut at both ends: the replicate's only day is first and last.
+  telemetry::Dataset d;
+  stats::Random random(8);
+  for (int i = 0; i < 400; ++i) {
+    d.add({.time_ms = 7 * kDay + 3 * kHour +
+                      static_cast<std::int64_t>(random.uniform() * 17.0 * kHour),
+           .user_id = 1,
+           .latency_ms = 100.0 + random.uniform() * 500.0});
+  }
+  d.sort_by_time();
+  AutoSensOptions options;
+  options.alpha_slot_ms = 2 * kHour;
+  expect_table_matches_rows(d, options, 5);
+}
+
+TEST(AlphaDayTableTest, MoreThan256Days) {
+  // Classes with more windows than the parallel layer's chunk cap still
+  // fold one merge per window on both paths.
+  const auto dataset = ragged_days_dataset(300);
+  AutoSensOptions options;
+  options.threads = 4;
+  expect_table_matches_rows(dataset, options, 4);
+}
+
+TEST(AlphaDayTableTest, RejectsAMismatchedDraw) {
+  const auto dataset = ragged_days_dataset(6);
+  const auto columns = dataset.columns();
+  const AutoSensOptions options;
+  const AlphaDayTable table(columns, options);
+  const auto days = day_ranges(columns.times);
+  stats::Random random(3);
+  const auto drawn = draw_days(days.size(), random);
+  const auto resample = day_block_resample(columns, days, drawn);
+  const std::vector<std::size_t> short_draw(drawn.begin(), drawn.end() - 1);
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, short_draw}, resample.columns(), options),
+               std::invalid_argument);
+  std::vector<std::size_t> outside = drawn;
+  outside[1] = table.size();
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, outside}, resample.columns(), options),
+               std::out_of_range);
+  AutoSensOptions other = options;
+  other.alpha_slot_ms = 2 * kHour;
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, drawn}, resample.columns(), other),
+               std::invalid_argument);
+}
+
 TEST(PeriodWindowsTest, CoverPeriodHours) {
   telemetry::Dataset d;
   d.add({.time_ms = 0, .user_id = 1, .latency_ms = 1.0});
@@ -210,6 +513,13 @@ TEST(AlphaByPeriodTest, AlphaIsFlatAcrossLatencyBins) {
     ASSERT_GT(s.count(), 3u);
     EXPECT_LT(s.stddev() / s.mean(), 0.30) << to_string(pa.period);
   }
+}
+
+TEST(AlphaByPeriodTest, UnsortedDatasetThrows) {
+  telemetry::Dataset d;
+  d.add({.time_ms = 2 * kHour, .user_id = 1, .latency_ms = 100.0});
+  d.add({.time_ms = kHour, .user_id = 1, .latency_ms = 100.0});
+  EXPECT_THROW(alpha_by_period(d, AutoSensOptions{}), std::invalid_argument);
 }
 
 TEST(AlphaByPeriodTest, EmptyDatasetThrows) {

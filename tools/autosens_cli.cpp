@@ -286,6 +286,14 @@ std::size_t thread_count(const cli::Args& args) {
   return static_cast<std::size_t>(threads);
 }
 
+/// --replicates N for --confidence (default 50), parsed like --threads:
+/// before any input is opened, so a count below 1 fails first.
+std::size_t replicate_count(const cli::Args& args) {
+  const auto replicates = args.get_int("replicates", 50);
+  if (replicates < 1) throw std::invalid_argument("--replicates must be >= 1");
+  return static_cast<std::size_t>(replicates);
+}
+
 /// --threads also drives the parallel ingest engine, so one flag controls
 /// both the parse and the analysis thread counts.
 telemetry::IngestOptions ingest_options_from_flags(const cli::Args& args) {
@@ -417,7 +425,9 @@ int cmd_analyze(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "ref", "bin", "max-latency",
                             "no-normalize", "mc", "confidence", "replicates", "threads",
                             "out"}));
-  const auto validated = load_scrubbed(args.require("in"), ingest_options_from_flags(args));
+  const auto ingest = ingest_options_from_flags(args);
+  const std::size_t replicates = replicate_count(args);
+  const auto validated = load_scrubbed(args.require("in"), ingest);
   const auto& dataset = validated.dataset;
   const auto slice = apply_slice_flags(dataset, args);
   obs::log_debug("analyze.slice", {{"records", slice.size()}});
@@ -432,8 +442,7 @@ int cmd_analyze(const cli::Args& args) {
   if (args.has("confidence")) {
     stats::Random random(17);
     core::ConfidenceOptions confidence;
-    confidence.replicates =
-        static_cast<std::size_t>(args.get_int("replicates", 50));
+    confidence.replicates = replicates;
     const auto result = core::analyze_with_confidence(
         slice, options, {500.0, 750.0, 1000.0, 1500.0, 2000.0}, confidence, random);
     report::Table table({"latency (ms)", "NLP", "90% CI"});
@@ -956,9 +965,8 @@ int cmd_store_analyze(const cli::Args& args) {
                             "max-latency", "no-normalize", "mc", "confidence", "replicates",
                             "threads"}));
   const auto options = options_from_flags(args);
-  const auto store = telemetry::store::StoredDataset::open(args.require("in"));
-
   core::StoreStreamOptions stream;
+  stream.confidence.replicates = replicate_count(args);
   const auto window_days = args.get_int("window-days", 7);
   if (window_days <= 0) throw std::invalid_argument("--window-days must be positive");
   stream.window_ms = window_days * telemetry::kMillisPerDay;
@@ -971,8 +979,9 @@ int cmd_store_analyze(const cli::Args& args) {
     if (!stream.user_class) throw std::invalid_argument("unknown user class: " + *user_class);
   }
   stream.with_confidence = args.has("confidence");
-  stream.confidence.replicates = static_cast<std::size_t>(args.get_int("replicates", 50));
   stream.probe_latencies = {500.0, 750.0, 1000.0, 1500.0, 2000.0};
+  // Opened after every flag is parsed: a flag error comes first.
+  const auto store = telemetry::store::StoredDataset::open(args.require("in"));
 
   obs::Span span("store_analyze");
   report::Table table({"window (day)", "records", "scanned", "pruned", "NLP@500",
