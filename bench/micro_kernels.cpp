@@ -990,7 +990,8 @@ BENCHMARK(BM_IngestBinlog)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// SIMD analysis kernels (BENCH_kernels.json), fig3-scale inputs. Arg(0) pins
+// SIMD analysis kernels (BENCH_kernels.json): the two row-sized histogram
+// fills, fig3-scale inputs. Arg(0) pins
 // the scalar path, Arg(1) runs the detected dispatch level, so the
 // scalar-vs-SIMD speedup is computable from one JSON. Run with
 // --benchmark_repetitions=N so every row carries per-repetition samples for
@@ -1045,63 +1046,6 @@ void BM_KernelUnbiasedFill(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(latencies.size()));
 }
 BENCHMARK(BM_KernelUnbiasedFill)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// The fused classify+fill pass of the α estimator: per-block latency bin
-/// indices through the dispatch layer, element-order adds into one of the
-/// per-hour class histograms.
-void BM_KernelClassifyFill(benchmark::State& state) {
-  const auto& dataset = million_record_dataset();
-  const auto times = dataset.times();
-  const auto latencies = dataset.latencies();
-  const core::AutoSensOptions options;
-  const auto classes =
-      static_cast<std::size_t>(telemetry::kMillisPerDay / options.alpha_slot_ms);
-  ScopedSimdLevel level(state.range(0) != 0);
-  for (auto _ : state) {
-    std::vector<stats::Histogram> counts;
-    counts.reserve(classes);
-    for (std::size_t k = 0; k < classes; ++k) {
-      counts.push_back(stats::Histogram::covering(0.0, options.max_latency_ms,
-                                                  options.alpha_bin_width_ms));
-    }
-    const double lo = counts.front().lo();
-    const double width = counts.front().bin_width();
-    const std::size_t bins = counts.front().size();
-    constexpr std::size_t kBlock = 1024;
-    std::array<std::uint32_t, kBlock> bin;
-    for (std::size_t offset = 0; offset < times.size(); offset += kBlock) {
-      const std::size_t m = std::min(kBlock, times.size() - offset);
-      core::simd::bin_indices(latencies.subspan(offset, m), lo, width, bins,
-                              std::span<std::uint32_t>(bin.data(), m));
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto slot = static_cast<std::size_t>(
-            ((times[offset + i] % telemetry::kMillisPerDay) + telemetry::kMillisPerDay) %
-            telemetry::kMillisPerDay / options.alpha_slot_ms);
-        counts[slot].add_at(bin[i]);
-      }
-    }
-    benchmark::DoNotOptimize(counts.front().total_weight());
-  }
-  state.SetLabel(simd_label(state));
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(times.size()));
-}
-BENCHMARK(BM_KernelClassifyFill)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Savitzky–Golay smoothing as a FIR convolution (window 101, degree 3).
-void BM_KernelSavitzkyGolay(benchmark::State& state) {
-  const auto signal = random_values(30'000, 2);
-  const stats::SavitzkyGolay filter({.window = 101, .degree = 3});
-  ScopedSimdLevel level(state.range(0) != 0);
-  for (auto _ : state) {
-    auto smoothed = filter.smooth(signal);
-    benchmark::DoNotOptimize(smoothed.data());
-  }
-  state.SetLabel(simd_label(state));
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(signal.size()));
-}
-BENCHMARK(BM_KernelSavitzkyGolay)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------

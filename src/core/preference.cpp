@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/simd.h"
 #include "obs/trace.h"
 #include "stats/savitzky_golay.h"
 
@@ -101,8 +100,11 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
     const stats::SavitzkyGolay smoother(options.smoothing);
     return smoother.smooth(signal);
   }();
-  // Ratios are nonnegative; smoothing overshoot below zero is clamped.
-  simd::clamp_min(smoothed, 0.0);
+  // Ratios are nonnegative; smoothing overshoot below zero is clamped. The
+  // compare (not std::max) leaves a NaN from a non-finite ratio unchanged.
+  for (double& v : smoothed) {
+    if (v < 0.0) v = 0.0;
+  }
 
   obs::Span normalize_span("nlp_normalize");
 
@@ -128,14 +130,12 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
     throw std::invalid_argument("compute_preference: zero preference at reference latency");
   }
 
+  // A true division, not a reciprocal multiply, which would round
+  // differently.
   result.normalized.assign(bins, 0.0);
-  // Copy the supported span then divide in place (a true division, so the
-  // rounding matches the scalar element-by-element loop).
-  std::copy(smoothed.begin(), smoothed.end(),
-            result.normalized.begin() + static_cast<std::ptrdiff_t>(result.support_begin));
-  simd::divide(std::span<double>(result.normalized).subspan(result.support_begin,
-                                                            smoothed.size()),
-               ref_value);
+  for (std::size_t k = 0; k < smoothed.size(); ++k) {
+    result.normalized[result.support_begin + k] = smoothed[k] / ref_value;
+  }
   return result;
 }
 

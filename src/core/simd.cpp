@@ -1,7 +1,8 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -22,25 +23,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar paths (always compiled, always tested).
 
-void scalar_bin_indices(const double* values, std::size_t n, double lo, double width,
-                        std::size_t bins, std::uint32_t* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint32_t>(bin_index_scalar(values[i], lo, width, bins));
-  }
-}
-
 void scalar_histogram_fill(const double* values, std::size_t n, double lo, double width,
                            std::size_t bins, double* counts) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     counts[bin_index_scalar(values[i], lo, width, bins)] += 1.0;
-  }
-}
-
-void scalar_histogram_fill_const(const double* values, std::size_t n, double weight,
-                                 double lo, double width, std::size_t bins,
-                                 double* counts) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    counts[bin_index_scalar(values[i], lo, width, bins)] += weight;
   }
 }
 
@@ -55,53 +41,12 @@ void scalar_histogram_fill_weighted(const double* values, const double* weights,
   }
 }
 
-void scalar_fir_convolve(const double* signal, std::size_t n_out, const double* kernel,
-                         std::size_t window, double* out) noexcept {
-  for (std::size_t i = 0; i < n_out; ++i) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < window; ++j) sum += kernel[j] * signal[i + j];
-    out[i] = sum;
-  }
-}
-
 void scalar_scale(double* values, std::size_t n, double factor) noexcept {
   for (std::size_t i = 0; i < n; ++i) values[i] *= factor;
 }
 
-void scalar_divide(double* values, std::size_t n, double divisor) noexcept {
-  for (std::size_t i = 0; i < n; ++i) values[i] /= divisor;
-}
-
-void scalar_clamp_min(double* values, std::size_t n, double floor_value) noexcept {
-  // `v < floor ? floor : v` (not std::max) so NaN passes through unchanged,
-  // matching the AVX2 blend-on-compare.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] < floor_value) values[i] = floor_value;
-  }
-}
-
-void scalar_add_assign(double* dst, const double* src, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-MinMax scalar_minmax(const double* values, std::size_t n) noexcept {
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = values[i];
-    if (std::isnan(v)) continue;
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  }
-  if (mn == std::numeric_limits<double>::infinity() &&
-      mx == -std::numeric_limits<double>::infinity()) {
-    return {std::nan(""), std::nan("")};  // every entry was NaN
-  }
-  return {mn, mx};
-}
-
 /// Fold the 4 interleaved lane accumulators then the serial tail — the
-/// accumulation order both sum paths implement literally.
+/// accumulation order both weight-total paths implement literally.
 inline double fold_lanes_and_tail(double a0, double a1, double a2, double a3,
                                   const double* tail, std::size_t tail_n) noexcept {
   double sum = ((a0 + a1) + a2) + a3;
@@ -109,7 +54,9 @@ inline double fold_lanes_and_tail(double a0, double a1, double a2, double a3,
   return sum;
 }
 
-double scalar_sum_interleaved(const double* values, std::size_t n) noexcept {
+/// The weighted fill's total on the scalar path: lane k sums elements k,
+/// k+4, k+8, ...; the fused AVX2 fill accumulates in exactly this order.
+double sum_interleaved(const double* values, std::size_t n) noexcept {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   const std::size_t m = n & ~std::size_t{3};
   for (std::size_t i = 0; i < m; i += 4) {
@@ -119,40 +66,6 @@ double scalar_sum_interleaved(const double* values, std::size_t n) noexcept {
     a3 += values[i + 3];
   }
   return fold_lanes_and_tail(a0, a1, a2, a3, values + m, n - m);
-}
-
-double scalar_l1_prob_diff(const double* a, const double* b, std::size_t n,
-                           double a_total, double b_total) noexcept {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  const std::size_t m = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; i += 4) {
-    s0 += std::fabs(a[i] / a_total - b[i] / b_total);
-    s1 += std::fabs(a[i + 1] / a_total - b[i + 1] / b_total);
-    s2 += std::fabs(a[i + 2] / a_total - b[i + 2] / b_total);
-    s3 += std::fabs(a[i + 3] / a_total - b[i + 3] / b_total);
-  }
-  double sum = ((s0 + s1) + s2) + s3;
-  for (std::size_t i = m; i < n; ++i) {
-    sum += std::fabs(a[i] / a_total - b[i] / b_total);
-  }
-  return sum;
-}
-
-double scalar_bhattacharyya(const double* a, const double* b, std::size_t n,
-                            double a_total, double b_total) noexcept {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  const std::size_t m = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; i += 4) {
-    s0 += std::sqrt((a[i] / a_total) * (b[i] / b_total));
-    s1 += std::sqrt((a[i + 1] / a_total) * (b[i + 1] / b_total));
-    s2 += std::sqrt((a[i + 2] / a_total) * (b[i + 2] / b_total));
-    s3 += std::sqrt((a[i + 3] / a_total) * (b[i + 3] / b_total));
-  }
-  double sum = ((s0 + s1) + s2) + s3;
-  for (std::size_t i = m; i < n; ++i) {
-    sum += std::sqrt((a[i] / a_total) * (b[i] / b_total));
-  }
-  return sum;
 }
 
 /// Bin-index buffer size for the order-preserving fill paths: big enough to
@@ -179,6 +92,8 @@ __attribute__((target("avx2"), always_inline)) inline __m128i bin_index4(
   return _mm256_cvttpd_epi32(off);  // truncate == floor for non-negative
 }
 
+/// Clamped bin index of each value (identical to bin_index_scalar), into an
+/// L1-resident block the fills below scatter from.
 __attribute__((target("avx2"))) void avx2_bin_indices(
     const double* values, std::size_t n, double lo, double width, std::size_t bins,
     std::uint32_t* out) noexcept {
@@ -194,6 +109,19 @@ __attribute__((target("avx2"))) void avx2_bin_indices(
   }
   for (std::size_t i = m; i < n; ++i) {
     out[i] = static_cast<std::uint32_t>(bin_index_scalar(values[i], lo, width, bins));
+  }
+}
+
+/// Unit-weight fill for inputs too small to amortize the per-lane partials:
+/// indices are computed a block at a time, the adds replay in element order.
+__attribute__((target("avx2"))) void avx2_fill_const(
+    const double* values, std::size_t n, double lo, double width, std::size_t bins,
+    double* counts) noexcept {
+  alignas(16) std::uint32_t idx[kIndexBlock];
+  for (std::size_t offset = 0; offset < n; offset += kIndexBlock) {
+    const std::size_t m = std::min(kIndexBlock, n - offset);
+    avx2_bin_indices(values + offset, m, lo, width, bins, idx);
+    for (std::size_t i = 0; i < m; ++i) counts[idx[i]] += 1.0;
   }
 }
 
@@ -237,8 +165,8 @@ __attribute__((target("avx2"))) void avx2_fill_lanes(
 /// Weighted fill fused with the interleaved weight-total reduction. The
 /// accumulator's lane assignment (element i -> lane i%4, ascending order),
 /// the ((l0+l1)+l2)+l3 fold, and the serial tail are exactly those of
-/// avx2_sum_interleaved, so the returned total is bit-identical to
-/// sum_interleaved(weights); bin adds replay in element order throughout.
+/// sum_interleaved, so the returned total is bit-identical to the scalar
+/// path's; bin adds replay in element order throughout.
 __attribute__((target("avx2"))) double avx2_fill_weighted(
     const double* values, const double* weights, std::size_t n, double lo,
     double width, std::size_t bins, double* counts) noexcept {
@@ -267,23 +195,6 @@ __attribute__((target("avx2"))) double avx2_fill_weighted(
   return fold_lanes_and_tail(lanes[0], lanes[1], lanes[2], lanes[3], weights + m, n - m);
 }
 
-__attribute__((target("avx2"))) void avx2_fir_convolve(
-    const double* signal, std::size_t n_out, const double* kernel, std::size_t window,
-    double* out) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n_out; i += 4) {
-    // Four outputs at once; each lane accumulates over j in the same order
-    // with separate multiply+add, so it rounds exactly like the scalar loop.
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t j = 0; j < window; ++j) {
-      acc = _mm256_add_pd(
-          acc, _mm256_mul_pd(_mm256_set1_pd(kernel[j]), _mm256_loadu_pd(signal + i + j)));
-    }
-    _mm256_storeu_pd(out + i, acc);
-  }
-  if (i < n_out) scalar_fir_convolve(signal + i, n_out - i, kernel, window, out + i);
-}
-
 __attribute__((target("avx2"))) void avx2_scale(double* values, std::size_t n,
                                                 double factor) noexcept {
   const __m256d f = _mm256_set1_pd(factor);
@@ -292,133 +203,6 @@ __attribute__((target("avx2"))) void avx2_scale(double* values, std::size_t n,
     _mm256_storeu_pd(values + i, _mm256_mul_pd(_mm256_loadu_pd(values + i), f));
   }
   for (; i < n; ++i) values[i] *= factor;
-}
-
-__attribute__((target("avx2"))) void avx2_divide(double* values, std::size_t n,
-                                                 double divisor) noexcept {
-  const __m256d d = _mm256_set1_pd(divisor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(values + i, _mm256_div_pd(_mm256_loadu_pd(values + i), d));
-  }
-  for (; i < n; ++i) values[i] /= divisor;
-}
-
-__attribute__((target("avx2"))) void avx2_clamp_min(double* values, std::size_t n,
-                                                    double floor_value) noexcept {
-  const __m256d f = _mm256_set1_pd(floor_value);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    // Blend on v < floor: NaN compares false and passes through, like the
-    // scalar branch.
-    const __m256d lt = _mm256_cmp_pd(v, f, _CMP_LT_OQ);
-    _mm256_storeu_pd(values + i, _mm256_blendv_pd(v, f, lt));
-  }
-  for (; i < n; ++i) {
-    if (values[i] < floor_value) values[i] = floor_value;
-  }
-}
-
-__attribute__((target("avx2"))) void avx2_add_assign(double* dst, const double* src,
-                                                     std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i,
-                     _mm256_add_pd(_mm256_loadu_pd(dst + i), _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-__attribute__((target("avx2"))) MinMax avx2_minmax(const double* values,
-                                                   std::size_t n) noexcept {
-  // min/max are order-insensitive, so lanes need no interleave discipline.
-  // MINPD/MAXPD return the SECOND operand when either is NaN, so keeping the
-  // accumulator second makes NaN inputs drop out.
-  __m256d mn = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d mx = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    mn = _mm256_min_pd(v, mn);
-    mx = _mm256_max_pd(v, mx);
-  }
-  alignas(32) double mins[4];
-  alignas(32) double maxs[4];
-  _mm256_store_pd(mins, mn);
-  _mm256_store_pd(maxs, mx);
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (int k = 0; k < 4; ++k) {
-    if (mins[k] < lo) lo = mins[k];
-    if (maxs[k] > hi) hi = maxs[k];
-  }
-  for (; i < n; ++i) {
-    const double v = values[i];
-    if (std::isnan(v)) continue;
-    if (v < lo) lo = v;
-    if (v > hi) hi = v;
-  }
-  if (lo == std::numeric_limits<double>::infinity() &&
-      hi == -std::numeric_limits<double>::infinity()) {
-    return {std::nan(""), std::nan("")};
-  }
-  return {lo, hi};
-}
-
-__attribute__((target("avx2"))) double avx2_sum_interleaved(const double* values,
-                                                            std::size_t n) noexcept {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t m = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(values + i));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  return fold_lanes_and_tail(lanes[0], lanes[1], lanes[2], lanes[3], values + m, n - m);
-}
-
-__attribute__((target("avx2"))) double avx2_l1_prob_diff(
-    const double* a, const double* b, std::size_t n, double a_total,
-    double b_total) noexcept {
-  const __m256d at = _mm256_set1_pd(a_total);
-  const __m256d bt = _mm256_set1_pd(b_total);
-  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t m = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; i += 4) {
-    const __m256d pa = _mm256_div_pd(_mm256_loadu_pd(a + i), at);
-    const __m256d pb = _mm256_div_pd(_mm256_loadu_pd(b + i), bt);
-    acc = _mm256_add_pd(acc, _mm256_and_pd(_mm256_sub_pd(pa, pb), abs_mask));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (std::size_t i = m; i < n; ++i) {
-    sum += std::fabs(a[i] / a_total - b[i] / b_total);
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) double avx2_bhattacharyya(
-    const double* a, const double* b, std::size_t n, double a_total,
-    double b_total) noexcept {
-  const __m256d at = _mm256_set1_pd(a_total);
-  const __m256d bt = _mm256_set1_pd(b_total);
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t m = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; i += 4) {
-    const __m256d pa = _mm256_div_pd(_mm256_loadu_pd(a + i), at);
-    const __m256d pb = _mm256_div_pd(_mm256_loadu_pd(b + i), bt);
-    acc = _mm256_add_pd(acc, _mm256_sqrt_pd(_mm256_mul_pd(pa, pb)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (std::size_t i = m; i < n; ++i) {
-    sum += std::sqrt((a[i] / a_total) * (b[i] / b_total));
-  }
-  return sum;
 }
 
 #endif  // AUTOSENS_SIMD_X86
@@ -496,17 +280,6 @@ void set_level_override(std::optional<Level> level) noexcept {
 
 void publish_level() { publish(active_level()); }
 
-void bin_indices(std::span<const double> values, double lo, double width,
-                 std::size_t counts_size, std::span<std::uint32_t> out) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2(counts_size)) {
-    avx2_bin_indices(values.data(), values.size(), lo, width, counts_size, out.data());
-    return;
-  }
-#endif
-  scalar_bin_indices(values.data(), values.size(), lo, width, counts_size, out.data());
-}
-
 void histogram_fill(std::span<const double> values, double lo, double width,
                     std::span<double> counts) noexcept {
   const std::size_t bins = counts.size();
@@ -524,32 +297,12 @@ void histogram_fill(std::span<const double> values, double lo, double width,
         counts[b] += merged;
       }
     } else {
-      histogram_fill_const(values, 1.0, lo, width, counts);
+      avx2_fill_const(values.data(), values.size(), lo, width, bins, counts.data());
     }
     return;
   }
 #endif
   scalar_histogram_fill(values.data(), values.size(), lo, width, bins, counts.data());
-}
-
-void histogram_fill_const(std::span<const double> values, double weight, double lo,
-                          double width, std::span<double> counts) noexcept {
-  const std::size_t bins = counts.size();
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2(bins)) {
-    std::uint32_t idx[kIndexBlock];
-    for (std::size_t offset = 0; offset < values.size(); offset += kIndexBlock) {
-      const std::size_t m = std::min(kIndexBlock, values.size() - offset);
-      avx2_bin_indices(values.data() + offset, m, lo, width, bins, idx);
-      // Element-order adds: repeated addition of a non-integer weight is
-      // order-sensitive, and this order matches the scalar loop.
-      for (std::size_t i = 0; i < m; ++i) counts[idx[i]] += weight;
-    }
-    return;
-  }
-#endif
-  scalar_histogram_fill_const(values.data(), values.size(), weight, lo, width, bins,
-                              counts.data());
 }
 
 double histogram_fill_weighted(std::span<const double> values,
@@ -564,21 +317,9 @@ double histogram_fill_weighted(std::span<const double> values,
 #endif
   scalar_histogram_fill_weighted(values.data(), weights.data(), values.size(), lo,
                                  width, bins, counts.data());
-  // Same reduction as the fused vector path: sum_interleaved is bit-identical
-  // across dispatch levels, so the returned total matches exactly.
-  return sum_interleaved(weights);
-}
-
-void fir_convolve_valid(std::span<const double> signal, std::span<const double> kernel,
-                        std::span<double> out) noexcept {
-  const std::size_t n_out = signal.size() - kernel.size() + 1;
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) {
-    avx2_fir_convolve(signal.data(), n_out, kernel.data(), kernel.size(), out.data());
-    return;
-  }
-#endif
-  scalar_fir_convolve(signal.data(), n_out, kernel.data(), kernel.size(), out.data());
+  // Same reduction order as the fused vector path, so the returned total
+  // matches it exactly.
+  return sum_interleaved(weights.data(), weights.size());
 }
 
 void scale(std::span<double> values, double factor) noexcept {
@@ -589,66 +330,6 @@ void scale(std::span<double> values, double factor) noexcept {
   }
 #endif
   scalar_scale(values.data(), values.size(), factor);
-}
-
-void divide(std::span<double> values, double divisor) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) {
-    avx2_divide(values.data(), values.size(), divisor);
-    return;
-  }
-#endif
-  scalar_divide(values.data(), values.size(), divisor);
-}
-
-void clamp_min(std::span<double> values, double floor_value) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) {
-    avx2_clamp_min(values.data(), values.size(), floor_value);
-    return;
-  }
-#endif
-  scalar_clamp_min(values.data(), values.size(), floor_value);
-}
-
-void add_assign(std::span<double> dst, std::span<const double> src) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) {
-    avx2_add_assign(dst.data(), src.data(), dst.size());
-    return;
-  }
-#endif
-  scalar_add_assign(dst.data(), src.data(), dst.size());
-}
-
-MinMax minmax(std::span<const double> values) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) return avx2_minmax(values.data(), values.size());
-#endif
-  return scalar_minmax(values.data(), values.size());
-}
-
-double sum_interleaved(std::span<const double> values) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) return avx2_sum_interleaved(values.data(), values.size());
-#endif
-  return scalar_sum_interleaved(values.data(), values.size());
-}
-
-double l1_prob_diff(std::span<const double> a, std::span<const double> b,
-                    double a_total, double b_total) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) return avx2_l1_prob_diff(a.data(), b.data(), a.size(), a_total, b_total);
-#endif
-  return scalar_l1_prob_diff(a.data(), b.data(), a.size(), a_total, b_total);
-}
-
-double bhattacharyya(std::span<const double> a, std::span<const double> b,
-                     double a_total, double b_total) noexcept {
-#ifdef AUTOSENS_SIMD_X86
-  if (use_avx2()) return avx2_bhattacharyya(a.data(), b.data(), a.size(), a_total, b_total);
-#endif
-  return scalar_bhattacharyya(a.data(), b.data(), a.size(), a_total, b_total);
 }
 
 }  // namespace autosens::core::simd

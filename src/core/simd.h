@@ -1,5 +1,8 @@
-// Runtime-dispatched SIMD kernels for the dense analysis loops (histogram
-// binning, FIR smoothing, element-wise maps, and reductions).
+// Runtime-dispatched SIMD kernels for the loops that touch every row: the
+// biased (B) and unbiased (U) histogram fills and the per-window Voronoi
+// weight scaling. Everything downstream of the fills works on bins (300
+// latency bins, 30 α-bins per class) and is plain scalar code in its one
+// caller.
 //
 // Dispatch mirrors the PCLMULQDQ CRC pattern in telemetry/binlog.cpp:
 // `__builtin_cpu_supports` picks an `__attribute__((target("avx2")))` variant
@@ -17,11 +20,9 @@
 //     both paths (the vector path only vectorizes the index math, the adds
 //     replay in order).  Unit-weight fills may use per-lane partial
 //     histograms because integer-valued counts add exactly in any order.
-//     Weight totals are a rule-3 reduction (sum_interleaved), not a serial
-//     left fold.
-//  3. Reductions whose order matters (sums of arbitrary doubles) are defined
-//     with a fixed 4-lane interleaved accumulation that both paths implement
-//     literally; order-insensitive reductions (min/max) need no such care.
+//  3. The weighted fill's weight total is defined as a fixed 4-lane
+//     interleaved accumulation that both paths implement literally, not a
+//     serial left fold.
 //
 // Level selection: AVX2 when the CPU supports it, unless the
 // AUTOSENS_FORCE_SCALAR environment variable (1/true/yes/on) or a test
@@ -30,7 +31,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -64,12 +64,12 @@ void set_level_override(std::optional<Level> level) noexcept;
 void publish_level();
 
 // ---------------------------------------------------------------------------
-// Histogram binning. All fill kernels share Histogram::bin_index semantics:
+// Histogram binning. Both fill kernels share Histogram::bin_index semantics:
 // offset = (v - lo) / width; NaN and offsets <= 0 clamp to bin 0, offsets at
 // or beyond the upper edge clamp to the last bin.
 
 /// Scalar reference bin index — the single definition of the binning
-/// semantics, shared by every fill kernel below and by
+/// semantics, shared by both fill kernels below and by
 /// stats::Histogram::bin_index. NaN and non-positive offsets return 0
 /// (the cast of a NaN or huge offset would otherwise be UB); offsets at or
 /// beyond the upper edge return counts_size - 1. Requires counts_size >= 1.
@@ -81,88 +81,24 @@ inline std::size_t bin_index_scalar(double value, double lo, double width,
   return static_cast<std::size_t>(offset);
 }
 
-/// Clamped bin index of each value (identical to Histogram::bin_index).
-/// `counts_size` must be >= 1 and < 2^31; `out.size() >= values.size()`.
-void bin_indices(std::span<const double> values, double lo, double width,
-                 std::size_t counts_size, std::span<std::uint32_t> out) noexcept;
-
 /// counts[bin(v)] += 1.0 for every value. The AVX2 path accumulates into
 /// per-lane partial histograms merged at the end — exact for integer-valued
 /// counts, so the result is bit-identical to the scalar loop.
 void histogram_fill(std::span<const double> values, double lo, double width,
                     std::span<double> counts) noexcept;
 
-/// counts[bin(v)] += weight for every value (constant weight). Adds replay
-/// in element order in both paths (repeated addition of a non-integer weight
-/// is order-sensitive), only the index math is vectorized.
-void histogram_fill_const(std::span<const double> values, double weight, double lo,
-                          double width, std::span<double> counts) noexcept;
-
 /// counts[bin(values[i])] += weights[i], accumulating in element order in
-/// both paths. Returns the weight total computed with sum_interleaved (the
-/// fixed 4-lane reduction, bit-identical across dispatch levels) rather than
-/// a serial left fold: the serial chain's add latency would bound the whole
+/// both paths. Returns the weight total as a fixed 4-lane interleaved sum
+/// (lane k sums weights k, k+4, ...; lanes fold ((l0+l1)+l2)+l3; the n % 4
+/// tail adds serially), bit-identical across dispatch levels, rather than a
+/// serial left fold: the serial chain's add latency would bound the whole
 /// fill. The total can differ from an elementwise left fold in the last ulp.
 /// Spans must be the same length.
 double histogram_fill_weighted(std::span<const double> values,
                                std::span<const double> weights, double lo,
                                double width, std::span<double> counts) noexcept;
 
-// ---------------------------------------------------------------------------
-// FIR convolution (Savitzky–Golay interior).
-
-/// Valid-mode FIR convolution: out[i] = sum_j kernel[j] * signal[i + j] for
-/// i in [0, signal.size() - kernel.size()]. Each output accumulates over j
-/// serially with separate multiply and add (no FMA contraction), so every
-/// lane of the AVX2 path rounds exactly like the scalar loop.
-/// Requires signal.size() >= kernel.size() and out.size() >=
-/// signal.size() - kernel.size() + 1.
-void fir_convolve_valid(std::span<const double> signal, std::span<const double> kernel,
-                        std::span<double> out) noexcept;
-
-// ---------------------------------------------------------------------------
-// Element-wise maps (independent per element, so trivially bit-identical).
-
-/// values[i] *= factor.
+/// values[i] *= factor (independent per element, so trivially bit-identical).
 void scale(std::span<double> values, double factor) noexcept;
-
-/// values[i] /= divisor (kept as a division — not a reciprocal multiply —
-/// to match scalar rounding).
-void divide(std::span<double> values, double divisor) noexcept;
-
-/// values[i] = max(values[i], floor_value). NaN inputs are left unchanged.
-void clamp_min(std::span<double> values, double floor_value) noexcept;
-
-/// dst[i] += src[i]. Spans must be the same length.
-void add_assign(std::span<double> dst, std::span<const double> src) noexcept;
-
-// ---------------------------------------------------------------------------
-// Reductions.
-
-struct MinMax {
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Min and max of a non-empty span (NaN entries are ignored; if every entry
-/// is NaN both fields are NaN). Order-insensitive, so the AVX2 path is
-/// bit-identical by construction.
-MinMax minmax(std::span<const double> values) noexcept;
-
-/// Sum with a fixed 4-lane interleaved accumulation: lane k sums elements
-/// k, k+4, k+8, ...; lanes fold left-to-right, then the tail (< 4 elements)
-/// adds serially. Both paths implement this order literally, so the result
-/// is bit-identical across scalar/AVX2 (but differs from a plain serial sum).
-double sum_interleaved(std::span<const double> values) noexcept;
-
-/// sum |a[i]/a_total - b[i]/b_total| with the interleaved accumulation
-/// order of sum_interleaved. Feeds stats::total_variation_distance.
-double l1_prob_diff(std::span<const double> a, std::span<const double> b,
-                    double a_total, double b_total) noexcept;
-
-/// Bhattacharyya coefficient sum sqrt((a[i]/a_total) * (b[i]/b_total)) with
-/// the interleaved accumulation order. Feeds stats::hellinger_distance.
-double bhattacharyya(std::span<const double> a, std::span<const double> b,
-                     double a_total, double b_total) noexcept;
 
 }  // namespace autosens::core::simd

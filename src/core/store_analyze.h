@@ -7,7 +7,8 @@
 // Equivalence contract: each window's result is byte-identical to running
 // analyze()/analyze_with_confidence() on the same rows filtered out of a
 // fully in-memory Dataset, because the window IS a Dataset once loaded —
-// same estimators, same memoized Voronoi weights, same bootstrap draws
+// same estimators over the same columns (Voronoi weights are recomputed
+// from the window's own rows, exactly as in memory), same bootstrap draws
 // (confidence replicates reseed per window and resample only the window's
 // days, so they never touch partitions outside it).
 #pragma once

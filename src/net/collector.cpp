@@ -42,7 +42,6 @@ Collector::Collector(const CollectorOptions& options) : options_(options) {
     event_queues_.push_back(std::make_unique<SpscQueue<ShardEvent>>(4096));
     ShardOptions shard_options{
         .index = i,
-        .total = shard_count,
         .transport = options_.transport,
         .read_deadline_ms = options_.read_deadline_ms,
         .max_resync_bytes = options_.max_resync_bytes,
@@ -57,23 +56,13 @@ Collector::Collector(const CollectorOptions& options) : options_(options) {
   }
 
   if (options_.transport == Transport::kTcp) {
-    if (options_.reuseport_accept) {
-      // One SO_REUSEPORT listener per shard: the kernel shards the accept
-      // queue, no handoff needed. Shard 0 resolves the ephemeral port.
-      for (std::uint32_t i = 0; i < shard_count; ++i) {
-        std::uint16_t bound = 0;
-        shards_[i]->set_tcp_listener(
-            listen_tcp_reuseport(i == 0 ? options_.port : port_, bound));
-        if (i == 0) port_ = bound;
-      }
-    } else {
-      // Portable fallback: shard 0 owns the only (nonblocking) listener and
-      // deals accepted fds round-robin to its siblings.
-      Socket listener = listen_tcp(options_.port, port_, 128);
-      set_nonblocking(listener.fd());
-      shards_[0]->set_tcp_listener(std::move(listener));
-      shards_[0]->set_handoff(
-          [this](std::uint32_t target, int fd) { shards_[target]->adopt_fd(fd); });
+    // One SO_REUSEPORT listener per shard: the kernel shards the accept
+    // queue. Shard 0 resolves the ephemeral port.
+    for (std::uint32_t i = 0; i < shard_count; ++i) {
+      std::uint16_t bound = 0;
+      shards_[i]->set_tcp_listener(
+          listen_tcp_reuseport(i == 0 ? options_.port : port_, bound));
+      if (i == 0) port_ = bound;
     }
   } else {
     // UDP: one SO_REUSEPORT-grouped socket per shard. A connected sender's

@@ -5,9 +5,7 @@
 // single spine thread — the caller of serve_until_goodbye — which owns every
 // cross-connection decision: session binding, exactly-once (session, seq)
 // dedup, record decode, Dataset splice, goodbye credit. Accept load is
-// sharded by the kernel via SO_REUSEPORT listeners (one per shard); when
-// reuseport_accept is off, shard 0 owns the only listener and deals accepted
-// fds round-robin to its siblings.
+// sharded by the kernel via SO_REUSEPORT listeners (one per shard).
 //
 // Transports: TCP (stream framing, per-connection FrameDecoder reassembly)
 // or UDP (wire-v2 frames packed into datagrams, each opening with a kHello
@@ -86,10 +84,6 @@ struct CollectorOptions {
   /// Ingest event loops. Each shard is one thread with its own epoll set.
   std::size_t shards = 1;
   Transport transport = Transport::kTcp;
-  /// TCP accept sharding: true = one SO_REUSEPORT listener per shard
-  /// (kernel load balancing); false = shard 0 accepts and hands fds
-  /// round-robin to the others (portable fallback).
-  bool reuseport_accept = true;
   /// SO_RCVBUF for UDP sockets (0 = kernel default). Loopback bursts at
   /// 10k-session fan-in overflow default buffers, which shows up as loss.
   int rcvbuf_bytes = 0;

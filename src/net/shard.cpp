@@ -47,8 +47,7 @@ CollectorShard::CollectorShard(const ShardOptions& options, SpscQueue<ShardEvent
     : options_(options),
       out_(out),
       notify_(std::move(notify)),
-      close_requests_(256),
-      adoptions_(256) {
+      close_requests_(256) {
   if (options_.ops == nullptr) options_.ops = &real_socket_ops();
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw SocketError("epoll_create1()", errno);
@@ -104,10 +103,6 @@ void CollectorShard::set_udp_socket(Socket socket) {
   }
 }
 
-void CollectorShard::set_handoff(std::function<void(std::uint32_t, int)> handoff) {
-  handoff_ = std::move(handoff);
-}
-
 void CollectorShard::start() {
   if (started_.exchange(true)) return;
   thread_ = std::thread([this] { run(); });
@@ -127,7 +122,7 @@ void CollectorShard::wake() {
 }
 
 void CollectorShard::request_close(std::uint64_t conn) {
-  Control control{.kind = Control::Kind::kClose, .conn = conn, .fd = -1};
+  Control control{.kind = Control::Kind::kClose, .conn = conn};
   while (!close_requests_.try_push(std::move(control))) {
     if (stop_.load(std::memory_order_acquire)) return;
     std::this_thread::yield();
@@ -136,21 +131,9 @@ void CollectorShard::request_close(std::uint64_t conn) {
 }
 
 void CollectorShard::request_sync() {
-  Control control{.kind = Control::Kind::kSync, .conn = 0, .fd = -1};
+  Control control{.kind = Control::Kind::kSync, .conn = 0};
   while (!close_requests_.try_push(std::move(control))) {
     if (stop_.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
-  }
-  wake();
-}
-
-void CollectorShard::adopt_fd(int fd) {
-  Control control{.kind = Control::Kind::kAdopt, .conn = 0, .fd = fd};
-  while (!adoptions_.try_push(std::move(control))) {
-    if (stop_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
     std::this_thread::yield();
   }
   wake();
@@ -235,15 +218,6 @@ void CollectorShard::handle_accept() {
   for (;;) {
     const int fd = options_.ops->accept4_fd(tcp_listener_.fd());
     if (fd >= 0) {
-      if (handoff_ && options_.total > 1) {
-        // Shared-accept fallback: this shard owns the only listener and
-        // deals accepted fds round-robin across the fleet (itself included).
-        const std::uint32_t target = next_handoff_++ % options_.total;
-        if (target != options_.index) {
-          handoff_(target, fd);
-          continue;
-        }
-      }
       add_connection(fd);
       continue;
     }
@@ -404,9 +378,6 @@ void CollectorShard::process_controls() {
     // already accounted for it, so no kEof echo. Unknown serial = the
     // connection EOF'd first; nothing to do.
     close_connection(control.conn, ShardEvent::EofReason::kClean, 0, false);
-  }
-  while (adoptions_.try_pop(control)) {
-    add_connection(control.fd);
   }
 }
 

@@ -1,9 +1,8 @@
 // CollectorShard: one per-core ingest event loop of the sharded collector.
 //
 // Each shard owns an edge-triggered epoll loop over nonblocking sockets —
-// its own SO_REUSEPORT TCP listener (kernel accept sharding) or adopted fds
-// handed off round-robin from shard 0 (shared-accept fallback), plus an
-// optional SO_REUSEPORT UDP socket drained with recvmmsg. Shards do the
+// its own SO_REUSEPORT TCP listener (kernel accept sharding) or its own
+// SO_REUSEPORT UDP socket drained with recvmmsg. Shards do the
 // byte-level work only: accept, read until EAGAIN, reassemble frames with a
 // per-connection FrameDecoder, enforce the resync-garbage budget and the
 // read deadline. Everything with cross-connection meaning — session
@@ -103,7 +102,6 @@ struct ShardStats {
 
 struct ShardOptions {
   std::uint32_t index = 0;       ///< This shard's number (metric label).
-  std::uint32_t total = 1;       ///< Shard count (for handoff round-robin).
   Transport transport = Transport::kTcp;
   int read_deadline_ms = -1;     ///< TCP: cut connections silent this long.
   std::size_t max_resync_bytes = 1 << 20;
@@ -123,14 +121,10 @@ class CollectorShard {
   CollectorShard(const CollectorShard&) = delete;
   CollectorShard& operator=(const CollectorShard&) = delete;
 
-  /// Install sockets before start(). The TCP listener is optional (absent
-  /// on shards 1..N-1 in shared-accept fallback mode); the UDP socket is
-  /// present only for Transport::kUdp.
+  /// Install the shard's socket before start(): a TCP listener for
+  /// Transport::kTcp, a UDP socket for Transport::kUdp.
   void set_tcp_listener(Socket listener);
   void set_udp_socket(Socket socket);
-  /// Fallback accept sharding: shard 0 calls this to route accepted fds.
-  /// handoff(target_index, fd) must enqueue the fd on the target shard.
-  void set_handoff(std::function<void(std::uint32_t, int)> handoff);
 
   void start();
   void stop();  ///< Signal + join. Idempotent.
@@ -145,8 +139,6 @@ class CollectorShard {
   /// drained. Lets the spine guarantee bytes-before-goodbye are ingested
   /// before it declares the collection complete.
   void request_sync();
-  /// Accepting shard's thread (fallback mode): hand a connected fd over.
-  void adopt_fd(int fd);
 
   ShardStats stats() const noexcept;
   std::uint32_t index() const noexcept { return options_.index; }
@@ -165,14 +157,12 @@ class CollectorShard {
     std::list<std::uint64_t>::iterator deadline_pos;
   };
 
-  /// Control messages into the shard thread. Close requests come from the
-  /// spine; adoptions come from the accepting shard — one SPSC queue per
-  /// producer so both stay single-producer/single-consumer.
+  /// Control messages from the spine (its only producer) into the shard
+  /// thread.
   struct Control {
-    enum class Kind : std::uint8_t { kClose, kAdopt, kSync };
+    enum class Kind : std::uint8_t { kClose, kSync };
     Kind kind = Kind::kClose;
     std::uint64_t conn = 0;
-    int fd = -1;
   };
 
   void run();
@@ -194,7 +184,6 @@ class CollectorShard {
   ShardOptions options_;
   SpscQueue<ShardEvent>& out_;
   std::function<void()> notify_;
-  std::function<void(std::uint32_t, int)> handoff_;
 
   Socket tcp_listener_;
   Socket udp_socket_;
@@ -206,10 +195,8 @@ class CollectorShard {
   std::atomic<bool> started_{false};
 
   SpscQueue<Control> close_requests_;
-  SpscQueue<Control> adoptions_;
 
   std::uint64_t next_serial_ = 1;
-  std::uint32_t next_handoff_ = 0;
   std::unordered_map<std::uint64_t, Connection> connections_;
   /// Serials in last-activity order; front expires first (one shared
   /// deadline duration makes this list the whole timer wheel).

@@ -1,7 +1,6 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -220,13 +219,6 @@ Socket connect_udp(std::uint16_t port) {
     throw SocketError("connect(udp 127.0.0.1:" + std::to_string(port) + ")", errno);
   }
   return sock;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw SocketError("fcntl(O_NONBLOCK)", errno);
-  }
 }
 
 Socket connect_tcp(std::uint16_t port, SocketOps& ops) {

@@ -122,8 +122,7 @@ Socket listen_tcp(std::uint16_t port, std::uint16_t& bound_port, int backlog = 1
 
 /// Like listen_tcp, but nonblocking and with SO_REUSEPORT, so N collector
 /// shards can each own a listener on the same port and let the kernel shard
-/// the accept queue. Throws SocketError if SO_REUSEPORT is unsupported
-/// (callers fall back to shared-accept handoff).
+/// the accept queue. Throws SocketError if SO_REUSEPORT is unsupported.
 Socket listen_tcp_reuseport(std::uint16_t port, std::uint16_t& bound_port,
                             int backlog = 128);
 
@@ -134,9 +133,6 @@ Socket bind_udp(std::uint16_t port, std::uint16_t& bound_port, bool reuseport = 
 /// Create an unbound (ephemeral source port) UDP socket "connected" to
 /// 127.0.0.1:port so plain send(2)/sendmmsg(2) address it implicitly.
 Socket connect_udp(std::uint16_t port);
-
-/// Set O_NONBLOCK on an fd. Throws SocketError on failure.
-void set_nonblocking(int fd);
 
 /// Blocking connect to 127.0.0.1:port through `ops`.
 Socket connect_tcp(std::uint16_t port, SocketOps& ops = real_socket_ops());

@@ -13,10 +13,12 @@ namespace autosens::stats {
 
 /// Total variation distance: 0.5 * sum |p_i - q_i| over normalized masses.
 /// In [0, 1]. Throws std::invalid_argument on geometry mismatch or if either
-/// histogram is empty.
+/// histogram is empty. The sum runs in a fixed 4-lane interleaved order
+/// (lane k adds bins k, k+4, ...), which is part of the result's bits.
 double total_variation_distance(const Histogram& p, const Histogram& q);
 
-/// Hellinger distance: sqrt(1 - sum sqrt(p_i q_i)). In [0, 1].
+/// Hellinger distance: sqrt(1 - sum sqrt(p_i q_i)). In [0, 1]. The sum uses
+/// the same interleaved order as total_variation_distance.
 double hellinger_distance(const Histogram& p, const Histogram& q);
 
 /// Two-sample Kolmogorov–Smirnov statistic: max |CDF_p - CDF_q|. In [0, 1].

@@ -71,11 +71,6 @@ void Histogram::add_all(std::span<const double> values) noexcept {
   total_ += static_cast<double>(values.size());
 }
 
-void Histogram::add_all(std::span<const double> values, double weight) noexcept {
-  core::simd::histogram_fill_const(values, weight, lo_, width_, counts_);
-  total_ += weight * static_cast<double>(values.size());
-}
-
 void Histogram::add_all(std::span<const double> values,
                         std::span<const double> weights) noexcept {
   assert(values.size() == weights.size() &&
@@ -99,7 +94,7 @@ void Histogram::merge(const Histogram& other) {
   if (other.lo_ != lo_ || other.width_ != width_ || other.counts_.size() != counts_.size()) {
     throw std::invalid_argument("Histogram::merge: geometry mismatch");
   }
-  core::simd::add_assign(counts_, other.counts_);
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
 }
 

@@ -37,23 +37,13 @@ class Histogram {
 
   void add(double value, double weight = 1.0) noexcept;
   void add_all(std::span<const double> values) noexcept;
-  /// Add every value with the same weight.
-  void add_all(std::span<const double> values, double weight) noexcept;
   /// Add values[i] with weight weights[i]. Spans must be the same length
   /// (asserted in debug builds); release builds bound the loop by the
   /// shorter span so no out-of-range weight is ever read. Bin weights
   /// accumulate in element order; the running total uses the fixed
-  /// interleaved reduction (core::simd::sum_interleaved), so it can differ
-  /// from a sequence of elementwise add() calls in the last ulp.
+  /// interleaved reduction of core::simd::histogram_fill_weighted, so it can
+  /// differ from a sequence of elementwise add() calls in the last ulp.
   void add_all(std::span<const double> values, std::span<const double> weights) noexcept;
-
-  /// Add `weight` directly into bin `i` (no bin search) — for fused passes
-  /// that batch-compute bin indices via core::simd::bin_indices. `i` must be
-  /// a valid bin.
-  void add_at(std::size_t i, double weight = 1.0) noexcept {
-    counts_[i] += weight;
-    total_ += weight;
-  }
 
   /// Bin index a value falls into (clamped to [0, size-1]; NaN maps to 0).
   std::size_t bin_index(double value) const noexcept;

@@ -11,7 +11,10 @@
 #      writes nothing, and `alpha`/`analyze` fail on the flag before they
 #      open their input;
 #   6. a --replicates below 1 fails `analyze` and `store analyze` on the
-#      flag before they open their input.
+#      flag before they open their input;
+#   7. an unknown --action / --class name fails `analyze`, `slices` and
+#      `store analyze` with the same message (`slices` and `store analyze`
+#      before they open their input).
 #
 # Usage: cli_store_e2e.sh <autosens_cli>
 set -euo pipefail
@@ -125,5 +128,32 @@ expect_replicates_rejected analyze_replicates_text 'flag --replicates expects an
     analyze --in "$WORK/missing.bin" --confidence --replicates abc
 expect_replicates_rejected store_analyze_replicates '--replicates must be >= 1' \
     store analyze --in "$WORK/missing_store" --confidence --replicates 0
+
+# --action and --class each have one parse, shared by every command.
+expect_flag_error() {
+  local name="$1" message="$2"
+  shift 2
+  if "$CLI" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"; then
+    echo "FAIL: $name accepted an unknown slice name" >&2
+    exit 1
+  fi
+  grep -qF -- "$message" "$WORK/$name.err" || {
+    echo "FAIL: $name did not report '$message'" >&2
+    cat "$WORK/$name.err" >&2
+    exit 1
+  }
+}
+expect_flag_error analyze_action 'unknown action type: Bogus' \
+    analyze --in "$WORK/data.bin" --action Bogus
+expect_flag_error analyze_class 'unknown user class: bogus' \
+    analyze --in "$WORK/data.bin" --action SelectMail --class bogus
+expect_flag_error slices_action 'unknown action type: Bogus' \
+    slices --in "$WORK/missing.bin" --by class --action Bogus
+expect_flag_error slices_class 'unknown user class: bogus' \
+    slices --in "$WORK/missing.bin" --by action --class bogus
+expect_flag_error store_analyze_action 'unknown action type: Bogus' \
+    store analyze --in "$WORK/missing_store" --action Bogus
+expect_flag_error store_analyze_class 'unknown user class: bogus' \
+    store analyze --in "$WORK/missing_store" --class bogus
 
 echo "PASS: cli store e2e ($rows rows)"

@@ -35,6 +35,29 @@ std::pair<stats::Histogram, stats::Histogram> make_pair(
   return {std::move(biased), std::move(unbiased)};
 }
 
+TEST(ComputePreferenceTest, OvershootClampLeavesNaNUnchanged) {
+  // With no unbiased-mass guard, bins holding biased but no unbiased mass
+  // have an infinite ratio; smoothing across two of them yields NaN (inf
+  // minus inf). The clamp raises negatives to 0 but must leave NaN as it
+  // is, so a NaN is never reported as "no activity".
+  auto options = test_options();
+  options.min_unbiased_mass = 0.0;
+  auto [biased, unbiased] = make_pair(options, [](double) { return 1.0; });
+  for (const std::size_t i : {80u, 84u}) unbiased.set_count(i, 0.0);
+  const auto result = compute_preference(biased, unbiased, options);
+  std::size_t nans = 0;
+  for (std::size_t i = result.support_begin; i < result.support_end; ++i) {
+    if (std::isnan(result.smoothed[i])) {
+      ++nans;
+      EXPECT_TRUE(std::isnan(result.normalized[i])) << "bin " << i;
+    } else {
+      EXPECT_GE(result.smoothed[i], 0.0) << "bin " << i;
+    }
+  }
+  EXPECT_GT(nans, 0u);
+  EXPECT_NEAR(result.at(300.0), 1.0, 1e-12);
+}
+
 TEST(ComputePreferenceTest, GeometryMismatchThrows) {
   const auto options = test_options();
   auto a = make_latency_histogram(options);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "stats/rng.h"
 
 namespace autosens::stats {
@@ -12,6 +17,58 @@ Histogram filled(std::initializer_list<double> counts) {
   std::size_t i = 0;
   for (const double c : counts) h.set_count(i++, c);
   return h;
+}
+
+Histogram random_histogram(std::size_t bins, std::uint64_t seed) {
+  Random random(seed);
+  Histogram h(0.0, 1.0, bins);
+  for (std::size_t i = 0; i < bins; ++i) h.set_count(i, random.uniform(0.0, 1000.0));
+  return h;
+}
+
+/// sum term(i) accumulated in the library's fixed order, written out here:
+/// lane k sums terms k, k+4, ...; lanes fold ((l0+l1)+l2)+l3; the n % 4
+/// tail adds serially.
+template <typename Term>
+double four_lane_sum(std::size_t n, Term term) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t m = n - n % 4;
+  for (std::size_t i = 0; i < m; ++i) lane[i % 4] += term(i);
+  double sum = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+  for (std::size_t i = m; i < n; ++i) sum += term(i);
+  return sum;
+}
+
+template <typename Term>
+double left_fold_sum(std::size_t n, Term term) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += term(i);
+  return sum;
+}
+
+TEST(DistanceTest, SumsUseTheFourLaneOrderBitForBit) {
+  for (const std::size_t bins : {1u, 3u, 4u, 5u, 7u, 8u, 31u, 300u, 301u}) {
+    SCOPED_TRACE(testing::Message() << "bins=" << bins);
+    const auto p = random_histogram(bins, 11 + bins);
+    const auto q = random_histogram(bins, 12 + bins);
+    const auto l1 = [&](std::size_t i) {
+      return std::fabs(p.count(i) / p.total_weight() - q.count(i) / q.total_weight());
+    };
+    const auto bc = [&](std::size_t i) {
+      return std::sqrt((p.count(i) / p.total_weight()) * (q.count(i) / q.total_weight()));
+    };
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(total_variation_distance(p, q)),
+              std::bit_cast<std::uint64_t>(0.5 * four_lane_sum(bins, l1)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(hellinger_distance(p, q)),
+              std::bit_cast<std::uint64_t>(
+                  std::sqrt(std::max(0.0, 1.0 - four_lane_sum(bins, bc)))));
+    if (bins == 301) {
+      // The order is observable here, so a left-fold rewrite fails above.
+      EXPECT_NE(four_lane_sum(bins, l1), left_fold_sum(bins, l1));
+      EXPECT_NE(std::sqrt(1.0 - four_lane_sum(bins, bc)),
+                std::sqrt(1.0 - left_fold_sum(bins, bc)));
+    }
+  }
 }
 
 TEST(DistanceTest, GeometryMismatchThrows) {

@@ -10,8 +10,8 @@
 // Also covered here: the kEagainStorm class (edge-triggered loops that
 // trust one EAGAIN as "drained" lose the edge — the shard's bounded re-poll
 // list is the defense), read deadlines enforced by the event-loop timer
-// against fully silent connections, and the shared-accept fallback
-// (reuseport_accept = false: shard 0 deals fds round-robin).
+// against fully silent connections, and SO_REUSEPORT accept sharding
+// accounting every connection to exactly one shard.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -234,47 +234,6 @@ TEST(NetShardTest, EventLoopTimerCutsFullySilentConnection) {
   EXPECT_EQ(stats.interrupted_connections, 0u);
   EXPECT_EQ(collector.dataset().size(), 16u)
       << "frames delivered before the deadline cut must be kept";
-}
-
-TEST(NetShardTest, SharedAcceptFallbackDealsConnectionsRoundRobin) {
-  // reuseport_accept = false: shard 0 owns the only listener and hands
-  // accepted fds round-robin across the fleet. Every shard must end up
-  // owning connections, and the collected dataset is still exact.
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kEmitters = 8;
-  constexpr std::size_t kPerEmitter = 120;
-
-  CollectorOptions options;
-  options.shards = kShards;
-  options.reuseport_accept = false;
-  Collector collector(options);
-
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kEmitters; ++t) {
-    threads.emplace_back([&, t] {
-      Emitter emitter(collector.port(), {.batch_size = 32});
-      for (const auto& r : striped_records(kPerEmitter, kEmitters, t)) emitter.record(r);
-      emitter.close();
-    });
-  }
-  const bool complete = collector.serve_until_goodbye(kEmitters, /*timeout_ms=*/10'000);
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(collector.dataset().size(), kEmitters * kPerEmitter);
-
-  const auto shard_stats = collector.shard_stats();
-  ASSERT_EQ(shard_stats.size(), kShards);
-  std::size_t total_connections = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    SCOPED_TRACE(testing::Message() << "shard=" << s);
-    // Round-robin dealing: 8 emitters over 4 shards = 2 each (emitters
-    // connect once and never reconnect in this clean run).
-    EXPECT_EQ(shard_stats[s].connections, kEmitters / kShards);
-    total_connections += shard_stats[s].connections;
-  }
-  EXPECT_EQ(total_connections, kEmitters);
-  EXPECT_EQ(collector.stats().connections, kEmitters);
 }
 
 TEST(NetShardTest, ReuseportShardsAccountAllConnections) {

@@ -1,9 +1,10 @@
-// Golden tests for the runtime-dispatched SIMD kernels (core/simd.h): every
-// kernel must produce BIT-IDENTICAL results on the scalar and AVX2 paths,
-// including on NaN, ±inf, and values exactly on bin boundaries. Each test
+// Golden tests for the runtime-dispatched SIMD kernels (core/simd.h): the
+// two histogram fills and scale must produce BIT-IDENTICAL results on the
+// scalar and AVX2 paths, including on NaN, ±inf, and values exactly on bin
+// boundaries, and match element-order references written here. Each test
 // runs the kernel once with the scalar override and once with the detected
 // level; on hardware without AVX2 the two runs coincide and the comparison
-// degenerates to a scalar self-check (the scalar path is still exercised).
+// degenerates to a scalar self-check against the references.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -38,6 +39,13 @@ class ScopedLevel {
   explicit ScopedLevel(simd::Level level) { simd::set_level_override(level); }
   ~ScopedLevel() { simd::set_level_override(std::nullopt); }
 };
+
+/// Bitwise equality, except that any NaN matches any NaN: which NaN an add
+/// propagates depends on the compiler's operand order, so a reference
+/// compiled in this file can differ from the library in a NaN's sign bit.
+bool same_value(double a, double b) {
+  return std::isnan(a) ? std::isnan(b) : bits(a) == bits(b);
+}
 
 void expect_bitwise_equal(std::span<const double> a, std::span<const double> b,
                           const char* what) {
@@ -111,30 +119,92 @@ constexpr BinGeometry kGeometries[] = {
     {0.0, 10.0, 1},    // single-bin degenerate
 };
 
+/// Element-order unit fill built on bin_index_scalar: the reference both
+/// dispatch levels of histogram_fill must reproduce bit for bit.
+std::vector<double> reference_fill(std::span<const double> values, const BinGeometry& g) {
+  std::vector<double> counts(g.bins, 0.0);
+  for (const double v : values) counts[simd::bin_index_scalar(v, g.lo, g.width, g.bins)] += 1.0;
+  return counts;
+}
+
+/// Element-order weighted fill built on bin_index_scalar.
+std::vector<double> reference_fill_weighted(std::span<const double> values,
+                                            std::span<const double> weights,
+                                            const BinGeometry& g) {
+  std::vector<double> counts(g.bins, 0.0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    counts[simd::bin_index_scalar(values[i], g.lo, g.width, g.bins)] += weights[i];
+  }
+  return counts;
+}
+
+/// The weighted fill's total, written out independently of the library:
+/// lane k sums elements k, k+4, ...; lanes fold ((a0+a1)+a2)+a3; the n % 4
+/// tail adds serially.
+double interleaved_reference(std::span<const double> v) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t m = v.size() - v.size() % 4;
+  for (std::size_t i = 0; i < m; ++i) lane[i % 4] += v[i];
+  double sum = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+  for (std::size_t i = m; i < v.size(); ++i) sum += v[i];
+  return sum;
+}
+
+std::vector<double> random_weights(std::size_t n, double lo, double hi, std::uint64_t seed) {
+  stats::Random random(seed);
+  std::vector<double> weights(n);
+  for (auto& w : weights) w = random.uniform(lo, hi);
+  return weights;
+}
+
+/// Every geometry sees inputs below 8·bins (the AVX2 unit fill's in-order
+/// arm) and at or above it (the per-lane partials arm).
+bool sizes_reach_both_fill_arms(const BinGeometry& g) {
+  bool small = false;
+  bool large = false;
+  for (const std::size_t n : kSizes) {
+    small = small || (n > 0 && n < 8 * g.bins);
+    large = large || n >= 8 * g.bins;
+  }
+  return small && large;
+}
+
 TEST(SimdKernelsTest, BinIndicesMatchScalarReference) {
+  // The AVX2 binning is reachable only through the two fills, so the
+  // adversarial values (NaN, ±inf, -0.0, exact edges, edges ±1 ulp, huge
+  // magnitudes) go through both and must land in bin_index_scalar's bins.
   for (const auto& g : kGeometries) {
+    ASSERT_TRUE(sizes_reach_both_fill_arms(g)) << "bins=" << g.bins;
     for (const std::size_t n : kSizes) {
+      SCOPED_TRACE(testing::Message() << "bins=" << g.bins << " n=" << n);
       const auto values = adversarial_values(n, g.lo, g.width, g.bins, 101 + n);
+      const auto expected = reference_fill(values, g);
       const auto [scalar, dispatch] = run_both([&] {
-        std::vector<std::uint32_t> out(n, 0xffffffffu);
-        simd::bin_indices(values, g.lo, g.width, g.bins, out);
-        return out;
+        std::vector<double> counts(g.bins, 0.0);
+        simd::histogram_fill(values, g.lo, g.width, counts);
+        return counts;
       });
-      ASSERT_EQ(scalar, dispatch) << "bins=" << g.bins << " n=" << n;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(scalar[i], simd::bin_index_scalar(values[i], g.lo, g.width, g.bins))
-            << "value=" << values[i];
-        ASSERT_LT(scalar[i], g.bins);
-      }
+      expect_bitwise_equal(expected, scalar, "histogram_fill (scalar)");
+      expect_bitwise_equal(expected, dispatch, "histogram_fill (dispatch)");
+
+      // Distinct weights: an element in the wrong bin moves a unique amount.
+      const auto weights = random_weights(n, 0.5, 2.0, 121 + n);
+      const auto expected_weighted = reference_fill_weighted(values, weights, g);
+      const auto [scalar_w, dispatch_w] = run_both([&] {
+        std::vector<double> counts(g.bins, 0.0);
+        simd::histogram_fill_weighted(values, weights, g.lo, g.width, counts);
+        return counts;
+      });
+      expect_bitwise_equal(expected_weighted, scalar_w, "histogram_fill_weighted (scalar)");
+      expect_bitwise_equal(expected_weighted, dispatch_w, "histogram_fill_weighted (dispatch)");
     }
   }
 }
 
 TEST(SimdKernelsTest, HistogramFillBitIdentical) {
   for (const auto& g : kGeometries) {
+    ASSERT_TRUE(sizes_reach_both_fill_arms(g)) << "bins=" << g.bins;
     for (const std::size_t n : kSizes) {
-      // n >= 4*bins exercises the per-lane-partials arm, n < 4*bins the
-      // buffered-index arm; the size/geometry sweep covers both.
       const auto values = adversarial_values(n, g.lo, g.width, g.bins, 202 + n);
       const auto [scalar, dispatch] = run_both([&] {
         std::vector<double> counts(g.bins, 0.0);
@@ -149,51 +219,44 @@ TEST(SimdKernelsTest, HistogramFillBitIdentical) {
   }
 }
 
-TEST(SimdKernelsTest, HistogramFillConstBitIdentical) {
-  const BinGeometry g = kGeometries[0];
-  for (const std::size_t n : kSizes) {
-    const auto values = adversarial_values(n, g.lo, g.width, g.bins, 303 + n);
-    const auto [scalar, dispatch] = run_both([&] {
-      std::vector<double> counts(g.bins, 0.0);
-      simd::histogram_fill_const(values, 0.3, g.lo, g.width, counts);
-      return counts;
-    });
-    expect_bitwise_equal(scalar, dispatch, "histogram_fill_const");
-  }
-}
-
 TEST(SimdKernelsTest, HistogramFillWeightedBitIdentical) {
-  const BinGeometry g = kGeometries[0];
-  for (const std::size_t n : kSizes) {
-    const auto values = adversarial_values(n, g.lo, g.width, g.bins, 404 + n);
-    stats::Random random(505 + n);
-    std::vector<double> weights(n);
-    for (auto& w : weights) w = random.uniform(-2.0, 5.0);
-    const auto [scalar, dispatch] = run_both([&] {
-      std::vector<double> counts(g.bins, 0.0);
-      const double added = simd::histogram_fill_weighted(values, weights, g.lo, g.width, counts);
-      counts.push_back(added);  // compare the running weight sum too
-      return counts;
-    });
-    expect_bitwise_equal(scalar, dispatch, "histogram_fill_weighted");
+  for (const auto& g : kGeometries) {
+    for (const std::size_t n : kSizes) {
+      const auto values = adversarial_values(n, g.lo, g.width, g.bins, 404 + n);
+      const auto weights = random_weights(n, -2.0, 5.0, 505 + n);
+      const auto [scalar, dispatch] = run_both([&] {
+        std::vector<double> counts(g.bins, 0.0);
+        const double added =
+            simd::histogram_fill_weighted(values, weights, g.lo, g.width, counts);
+        counts.push_back(added);  // compare the running weight sum too
+        return counts;
+      });
+      expect_bitwise_equal(scalar, dispatch, "histogram_fill_weighted");
+    }
   }
 }
 
 TEST(SimdKernelsTest, FirConvolveBitIdentical) {
-  for (const std::size_t window : {1u, 5u, 11u}) {
-    stats::Random random(606);
-    std::vector<double> kernel(window);
-    for (auto& k : kernel) k = random.uniform(-1.0, 1.0);
+  // The Savitzky–Golay interior is a serial valid-mode FIR: each output
+  // accumulates kernel[j] * signal[t + j] over j in order, with a separate
+  // multiply and add. Reordering the sum or fusing an FMA fails this.
+  const std::pair<std::size_t, std::size_t> filters[] = {{1, 0}, {5, 2}, {11, 3}, {101, 3}};
+  for (const auto& [window, degree] : filters) {
+    const stats::SavitzkyGolay filter({.window = window, .degree = degree});
+    const auto kernel = filter.kernel();
+    const std::size_t h = window / 2;
     for (const std::size_t n : kSizes) {
       if (n < window) continue;
-      auto signal = adversarial_values(n, 0.0, 1.0, 16, 707 + n);
-      const std::size_t n_out = n - window + 1;
-      const auto [scalar, dispatch] = run_both([&] {
-        std::vector<double> out(n_out, 0.0);
-        simd::fir_convolve_valid(signal, kernel, out);
-        return out;
-      });
-      expect_bitwise_equal(scalar, dispatch, "fir_convolve_valid");
+      const auto signal = adversarial_values(n, 0.0, 1.0, 16, 707 + n);
+      const auto [scalar, dispatch] = run_both([&] { return filter.smooth(signal); });
+      expect_bitwise_equal(scalar, dispatch, "savgol interior");
+      for (std::size_t t = 0; t + window <= n; ++t) {
+        double sum = 0.0;
+        for (std::size_t j = 0; j < window; ++j) sum += kernel[j] * signal[t + j];
+        ASSERT_TRUE(same_value(sum, scalar[h + t]))
+            << "window=" << window << " n=" << n << " t=" << t << ": " << sum
+            << " vs " << scalar[h + t];
+      }
     }
   }
 }
@@ -201,80 +264,37 @@ TEST(SimdKernelsTest, FirConvolveBitIdentical) {
 TEST(SimdKernelsTest, ElementwiseMapsBitIdentical) {
   for (const std::size_t n : kSizes) {
     const auto base = adversarial_values(n, -10.0, 2.0, 64, 808 + n);
-    const auto [s1, d1] = run_both([&] {
+    const auto [scalar, dispatch] = run_both([&] {
       auto v = base;
       simd::scale(v, 0.37);
       return v;
     });
-    expect_bitwise_equal(s1, d1, "scale");
-    const auto [s2, d2] = run_both([&] {
-      auto v = base;
-      simd::divide(v, 3.7);
-      return v;
-    });
-    expect_bitwise_equal(s2, d2, "divide");
-    const auto [s3, d3] = run_both([&] {
-      auto v = base;
-      simd::clamp_min(v, 0.0);
-      return v;
-    });
-    expect_bitwise_equal(s3, d3, "clamp_min");
+    expect_bitwise_equal(scalar, dispatch, "scale");
     for (std::size_t i = 0; i < n; ++i) {
-      if (std::isnan(base[i])) {
-        EXPECT_TRUE(std::isnan(s3[i])) << "clamp_min must pass NaN through";
-      } else {
-        EXPECT_GE(s3[i], 0.0);
-      }
+      ASSERT_TRUE(same_value(scalar[i], base[i] * 0.37)) << "scale differs at " << i;
     }
-    const auto other = adversarial_values(n, -10.0, 2.0, 64, 909 + n);
-    const auto [s4, d4] = run_both([&] {
-      auto v = base;
-      simd::add_assign(v, other);
-      return v;
-    });
-    expect_bitwise_equal(s4, d4, "add_assign");
   }
-}
-
-TEST(SimdKernelsTest, MinMaxBitIdentical) {
-  for (const std::size_t n : kSizes) {
-    if (n == 0) continue;
-    const auto values = adversarial_values(n, -50.0, 1.0, 128, 111 + n);
-    const auto [scalar, dispatch] = run_both([&] {
-      const auto mm = simd::minmax(values);
-      return std::pair{bits(mm.min), bits(mm.max)};
-    });
-    EXPECT_EQ(scalar, dispatch) << "minmax n=" << n;
-  }
-  // All-NaN spans report {NaN, NaN} on both paths.
-  const std::vector<double> nans(9, kNan);
-  const auto [scalar, dispatch] = run_both([&] {
-    const auto mm = simd::minmax(nans);
-    return std::isnan(mm.min) && std::isnan(mm.max);
-  });
-  EXPECT_TRUE(scalar);
-  EXPECT_TRUE(dispatch);
 }
 
 TEST(SimdKernelsTest, ReductionsBitIdentical) {
+  // The weighted fill's total is the one order-sensitive reduction left in
+  // the dispatch layer: both levels must return the 4-lane interleaved sum.
+  const BinGeometry g = kGeometries[0];
   for (const std::size_t n : kSizes) {
-    stats::Random random(222 + n);
-    std::vector<double> a(n);
-    std::vector<double> b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = random.uniform(0.0, 1000.0);
-      b[i] = random.uniform(0.0, 500.0);
-    }
-    const auto [s1, d1] = run_both([&] { return bits(simd::sum_interleaved(a)); });
-    EXPECT_EQ(s1, d1) << "sum_interleaved n=" << n;
-    if (n == 0) continue;
-    const auto [s2, d2] =
-        run_both([&] { return bits(simd::l1_prob_diff(a, b, 1234.5, 678.9)); });
-    EXPECT_EQ(s2, d2) << "l1_prob_diff n=" << n;
-    const auto [s3, d3] =
-        run_both([&] { return bits(simd::bhattacharyya(a, b, 1234.5, 678.9)); });
-    EXPECT_EQ(s3, d3) << "bhattacharyya n=" << n;
+    const auto values = adversarial_values(n, g.lo, g.width, g.bins, 222 + n);
+    const auto weights = random_weights(n, 0.0, 1000.0, 223 + n);
+    const auto [scalar, dispatch] = run_both([&] {
+      std::vector<double> counts(g.bins, 0.0);
+      return bits(simd::histogram_fill_weighted(values, weights, g.lo, g.width, counts));
+    });
+    EXPECT_EQ(scalar, bits(interleaved_reference(weights))) << "scalar n=" << n;
+    EXPECT_EQ(dispatch, bits(interleaved_reference(weights))) << "dispatch n=" << n;
   }
+  // The order is observable: on this input a serial left fold differs.
+  const auto weights = random_weights(10'000, 0.0, 1000.0, 223 + 10'000);
+  double left_fold = 0.0;
+  for (const double w : weights) left_fold += w;
+  EXPECT_NE(bits(left_fold), bits(interleaved_reference(weights)));
 }
 
 // ---------------------------------------------------------------------------
@@ -300,10 +320,10 @@ TEST(SimdKernelsTest, HistogramAddAllMatchesElementwiseAdd) {
   for (std::size_t i = 0; i < 300; ++i) {
     ASSERT_EQ(bits(scalar[i]), bits(elementwise.count(i))) << "bin " << i;
   }
-  // The bulk total uses the fixed interleaved reduction, so it matches
-  // sum_interleaved bit-for-bit; against the elementwise serial fold the
+  // The bulk total uses the fixed interleaved reduction, so it matches the
+  // reference bit-for-bit; against the elementwise serial fold the
   // summation-order difference grows with n, so allow a relative tolerance.
-  EXPECT_EQ(bits(scalar.back()), bits(core::simd::sum_interleaved(weights)));
+  EXPECT_EQ(bits(scalar.back()), bits(interleaved_reference(weights)));
   EXPECT_NEAR(scalar.back(), elementwise.total_weight(),
               1e-12 * elementwise.total_weight());
 }

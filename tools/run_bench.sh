@@ -13,8 +13,8 @@
 #   BENCH_ingest.json   — the parallel zero-copy ingest engine (chunked
 #                         CSV/JSONL parse and the ASL2 columnar binlog load
 #                         vs the seed getline / ASL1-row paths)
-#   BENCH_kernels.json  — the SIMD analysis kernels (biased/unbiased histogram
-#                         fill, fused classify+fill, Savitzky–Golay FIR),
+#   BENCH_kernels.json  — the SIMD analysis kernels (the row-sized biased and
+#                         unbiased histogram fills),
 #                         Arg(0)=scalar vs Arg(1)=dispatch, recorded with
 #                         per-repetition samples so the robust regression gate
 #                         (tools/check_bench_regression.py) can filter
