@@ -29,7 +29,6 @@
 #include "core/slices.h"
 #include "core/store_analyze.h"
 #include "net/collector.h"
-#include "net/collector_poll.h"
 #include "net/emitter.h"
 #include "net/udp.h"
 #include "obs/metrics.h"
@@ -1050,18 +1049,14 @@ BENCHMARK(BM_KernelUnbiasedFill)->Arg(0)->Arg(1)
 
 // ---------------------------------------------------------------------------
 // Net fan-in saturation sweep (BENCH_net.json): records/s vs simulated
-// session count for the three ingestion paths — the preserved poll()
-// baseline (net/collector_poll.h), the sharded epoll collector at 1/2/4
-// shards, and the batched UDP transport. Every row ships (roughly) the same
-// total record budget; the sweep axis is how many sessions it is split
-// across, so high-session rows measure connection churn and fan-in, not
-// payload volume. Concurrency is capped at kNetBenchThreads emitter threads
-// that work through the session list, mimicking a bounded client pool in
-// front of a much larger session population. On multi-core hardware the
-// sharded rows are the ≥3× records/s story vs the poll baseline at ≥1k
-// sessions; on a single-core runner the sweep still records the whole curve
-// (and the correctness suites prove byte-identity), the speedup is just not
-// observable.
+// session count for the two ingestion paths — the sharded epoll collector
+// at 1/2/4 shards (the 1-shard rows are the single-loop baseline) and the
+// batched UDP transport. Every row ships (roughly) the same total record
+// budget; the sweep axis is how many sessions it is split across, so
+// high-session rows measure connection churn and fan-in, not payload
+// volume. Concurrency is capped at kNetBenchThreads emitter threads that
+// work through the session list, mimicking a bounded client pool in front
+// of a much larger session population.
 
 constexpr std::size_t kNetRecordBudget = 65'536;  ///< Records per iteration.
 constexpr std::size_t kNetBenchThreads = 64;      ///< Concurrent emitter cap.
@@ -1139,23 +1134,6 @@ void run_net_udp_sessions(std::uint16_t port, std::size_t sessions,
 std::size_t net_bench_per_session(std::size_t sessions) {
   return std::max<std::size_t>(1, kNetRecordBudget / sessions);
 }
-
-/// Baseline: the seed-era single-threaded poll() collector.
-void BM_NetTcpPoll(benchmark::State& state) {
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  const auto& records = net_bench_batch(net_bench_per_session(sessions));
-  std::int64_t delivered = 0;
-  for (auto _ : state) {
-    net::PollCollectorThread collector(sessions, net::CollectorOptions{},
-                                       /*timeout_ms=*/20'000);
-    run_net_tcp_sessions(collector.port(), sessions, records);
-    delivered += static_cast<std::int64_t>(collector.join().size());
-  }
-  state.SetLabel("poll_baseline");
-  state.SetItemsProcessed(delivered);
-}
-BENCHMARK(BM_NetTcpPoll)->Arg(1)->Arg(64)->Arg(1024)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Sharded epoll collector; Args are {sessions, shards}.
 void BM_NetTcpSharded(benchmark::State& state) {

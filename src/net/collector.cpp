@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "net/collector_metrics.h"
 #include "net/wire.h"
 #include "obs/health.h"
 #include "obs/log.h"
@@ -27,6 +26,66 @@ std::int64_t ms_between(Clock::time_point earlier, Clock::time_point later) noex
 /// Spine key for one shard connection stream.
 std::uint64_t conn_key(std::uint32_t shard, std::uint64_t serial) noexcept {
   return (static_cast<std::uint64_t>(shard) << 48) ^ serial;
+}
+
+/// Process-wide registry mirrors of the per-instance counters. The obs
+/// registry dedups by metric name, so every Collector in a process shares
+/// one set of handles.
+struct CollectorMetrics {
+  obs::Counter& connections = obs::registry().counter(
+      "autosens_collector_connections_total", "Emitter connections accepted");
+  obs::Counter& frames = obs::registry().counter(
+      "autosens_collector_frames_total", "Wire frames decoded");
+  obs::Counter& records = obs::registry().counter(
+      "autosens_collector_records_total", "Telemetry records ingested");
+  obs::Counter& flushes = obs::registry().counter(
+      "autosens_collector_flushes_total", "Flush markers received");
+  obs::Counter& drops = obs::registry().counter(
+      "autosens_collector_dropped_connections_total",
+      "Connections dropped on protocol or transport error");
+  obs::Counter& bytes = obs::registry().counter(
+      "autosens_collector_bytes_total", "Payload bytes received");
+  obs::Counter& backpressure = obs::registry().counter(
+      "autosens_collector_backpressure_reads_total",
+      "recv() calls that filled the whole buffer (ingest running behind)");
+  obs::Counter& resyncs = obs::registry().counter(
+      "autosens_net_resyncs_total",
+      "Damaged byte runs scanned past to the next valid frame");
+  obs::Counter& resync_bytes = obs::registry().counter(
+      "autosens_net_resync_bytes_total", "Garbage bytes discarded by frame resync");
+  obs::Counter& dedup_hits = obs::registry().counter(
+      "autosens_net_dedup_hits_total",
+      "Retransmitted frames dropped by (session, seq) dedup");
+  obs::Counter& sessions = obs::registry().counter(
+      "autosens_collector_sessions_total", "Distinct emitter sessions seen");
+  obs::Gauge& sessions_active = obs::registry().gauge(
+      "autosens_net_sessions_active",
+      "Emitter sessions seen whose goodbye has not arrived yet");
+  obs::Counter& session_reconnects = obs::registry().counter(
+      "autosens_collector_session_reconnects_total",
+      "Hello frames for an already-known session (emitter reconnects)");
+  obs::Counter& deadline_drops = obs::registry().counter(
+      "autosens_net_deadline_drops_total",
+      "Connections dropped by the per-connection read deadline");
+  obs::Counter& interrupted = obs::registry().counter(
+      "autosens_collector_interrupted_connections_total",
+      "Session connections that ended without a goodbye (retry artifacts "
+      "or emitters that died)");
+  obs::Gauge& idle_timeout_outcome = obs::registry().gauge(
+      "autosens_collector_idle_timeout_outcome",
+      "1 when the last serve loop ended on idle timeout, 0 when all "
+      "goodbyes arrived");
+  obs::Counter& udp_lost = obs::registry().counter(
+      "autosens_net_udp_lost_total",
+      "Datagram sequence gaps still open when their session finalized "
+      "(exact per-session UDP loss accounting)");
+  obs::Counter& udp_datagrams = obs::registry().counter(
+      "autosens_net_udp_datagrams_total", "UDP datagrams accepted (CRC-valid hello)");
+};
+
+CollectorMetrics& collector_metrics() {
+  static CollectorMetrics handles;
+  return handles;
 }
 
 }  // namespace
@@ -197,8 +256,7 @@ bool Collector::accept_seq(Session& session, std::uint32_t seq) {
 }
 
 std::size_t Collector::apply_frame(const Frame& frame, Session* session,
-                                   std::uint64_t session_id, bool& saw_goodbye,
-                                   bool* dead) {
+                                   bool& saw_goodbye, bool* dead) {
   if (session != nullptr && frame.seq != 0) {
     if (!accept_seq(*session, frame.seq)) {
       // A retransmission of a frame that did arrive the first time: the
@@ -252,8 +310,7 @@ std::size_t Collector::apply_frame(const Frame& frame, Session* session,
           return 1;
         }
       } else {
-        (void)session_id;
-        return 1;  // sessionless stream: credit per goodbye, as the poll era did
+        return 1;  // sessionless stream: credit per goodbye
       }
       break;
     case FrameType::kHello:
@@ -314,7 +371,7 @@ std::size_t Collector::apply_tcp_frames(ShardEvent& event) {
 
     Session* session = conn.session_id != 0 ? &sessions_[conn.session_id] : nullptr;
     bool dead = false;
-    goodbyes += apply_frame(frame, session, conn.session_id, conn.saw_goodbye, &dead);
+    goodbyes += apply_frame(frame, session, conn.saw_goodbye, &dead);
     if (dead) {
       conn.dead = true;
       break;
@@ -337,7 +394,6 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
   std::lock_guard lock(sessions_mutex_);
   std::size_t goodbyes = 0;
   Session* session = nullptr;
-  std::uint64_t session_id = 0;
   bool accepting = false;
 
   for (auto& frame : event.frames) {
@@ -390,7 +446,6 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
         continue;
       }
       session = &s;
-      session_id = *id;
       accepting = true;
       continue;
     }
@@ -400,7 +455,7 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
     collector_metrics().frames.inc();
     bool saw_goodbye = false;
     bool dead = false;
-    goodbyes += apply_frame(frame, session, session_id, saw_goodbye, &dead);
+    goodbyes += apply_frame(frame, session, saw_goodbye, &dead);
     if (dead) {
       // Undecodable payload inside a datagram: skip the datagram's
       // remainder; there is no connection to drop.
@@ -485,27 +540,27 @@ std::size_t Collector::apply_event(ShardEvent& event) {
           collector_metrics().drops.inc();
           obs::log_info("collector.drop_connection", {{"reason", "resync_budget"}});
           break;
-        case ShardEvent::EofReason::kClean: {
-          // Peer closed. Clean after a goodbye; a session that vanishes
-          // without one may yet resume on a reconnect (counted
-          // interrupted); a sessionless stream that sent bytes but never
-          // finished a goodbye is a protocol failure.
-          std::lock_guard lock(sessions_mutex_);
+        case ShardEvent::EofReason::kClean:
+          // Peer closed. Clean after a goodbye; a session connection that
+          // ends without its own goodbye may yet resume on a reconnect
+          // (counted interrupted, even when the reconnect's goodbye was
+          // applied first: the torn connection's EOF can queue behind the
+          // reconnect's frames); a sessionless stream that sent bytes but
+          // never finished a goodbye is a protocol failure.
           if (!conn.saw_goodbye) {
-            if (conn.session_id != 0 && !sessions_[conn.session_id].said_goodbye) {
+            if (conn.session_id != 0) {
               stats_.interrupted_connections.add();
               collector_metrics().interrupted.inc();
               obs::log_debug("collector.interrupted",
                              {{"session", conn.session_id},
                               {"pending_bytes", event.pending_bytes}});
-            } else if (conn.session_id == 0 && conn.received_bytes) {
+            } else if (conn.received_bytes) {
               stats_.dropped_connections.add();
               collector_metrics().drops.inc();
               obs::log_info("collector.drop_connection", {{"reason", "no_goodbye"}});
             }
           }
           break;
-        }
       }
       return 0;
     }
@@ -564,9 +619,9 @@ bool Collector::serve_until_goodbye(std::size_t expected_goodbyes, int timeout_m
   // ordering guarantees every byte sent before a session's goodbye is
   // already in some shard's kernel buffer, but not that the owning shard
   // has read it (a reconnect's earlier connection may sit on a different
-  // shard). The poll baseline got this for free by draining every ready fd
-  // in the same loop iteration; here each shard drains directly and acks
-  // with a kSync ordered after everything it ingested.
+  // shard), so each shard drains every connection directly and acks with a
+  // kSync ordered after everything it ingested — including the EOF of any
+  // torn connection, which is then counted before this returns.
   std::size_t pending_syncs = shards_.size();
   for (auto& shard : shards_) shard->request_sync();
   const auto settle_start = Clock::now();

@@ -16,10 +16,8 @@
 // missing when the session finalizes is exported as
 // autosens_net_udp_lost_total — exact, per-session loss.
 //
-// Resilience semantics are inherited from the poll-era collector (preserved
-// as net/collector_poll.h, which doubles as the benchmark baseline and the
-// fault-matrix oracle): per-connection errors never kill the serve loop,
-// damaged bytes are resynced past with bounded budgets, retransmits dedup,
+// Resilience: per-connection errors never kill the serve loop, damaged
+// bytes are resynced past with bounded budgets, retransmits dedup,
 // reconnects fold into one logical session stream regardless of which shard
 // they land on, silent connections are cut by the shard's event-loop timer,
 // and an idle timeout ends the loop with the partial Dataset intact.
@@ -93,8 +91,7 @@ struct CollectorOptions {
   std::size_t max_tracked_gaps = 4096;
 };
 
-/// Sharded collector. The public surface (and the semantics the tests pin)
-/// is unchanged from the poll era: construct, let emitters connect, call
+/// Sharded collector: construct, let emitters connect, call
 /// serve_until_goodbye, take the dataset.
 class Collector {
  public:
@@ -188,8 +185,8 @@ class Collector {
   bool accept_seq(Session& session, std::uint32_t seq);
   /// One data/flush/goodbye frame against its session; returns goodbyes
   /// credited (0/1). Sets *dead when the stream must be dropped.
-  std::size_t apply_frame(const Frame& frame, Session* session,
-                          std::uint64_t session_id, bool& saw_goodbye, bool* dead);
+  std::size_t apply_frame(const Frame& frame, Session* session, bool& saw_goodbye,
+                          bool* dead);
   /// Count outstanding datagram gaps of every unfinalized session.
   void finalize_udp_sessions();
 

@@ -28,8 +28,8 @@ constexpr std::uint64_t kUdpTag = ~std::uint64_t{0} - 1;
 /// EAGAIN burst shorter than this cannot permanently mask kernel bytes.
 constexpr std::size_t kRetryRounds = 64;
 
-/// Read size per recv: matches the poll-baseline collector so the
-/// backpressure definition (a read that fills the whole buffer) compares.
+/// Read size per recv; a read that fills the whole buffer counts as
+/// backpressure.
 constexpr std::size_t kReadBytes = 16384;
 
 /// Per-datagram receive buffer; comfortably above the emitter's
@@ -359,8 +359,8 @@ void CollectorShard::reap_deadlines() {
       continue;
     }
     if (ms_between(it->second.last_activity, now) < options_.read_deadline_ms) break;
-    // Flush whatever decoded before cutting, mirroring the poll baseline
-    // (deadline drops keep already-decoded records).
+    // Flush whatever decoded before cutting: deadline drops keep
+    // already-decoded records.
     emit_frames(it->second);
     close_connection(it->first, ShardEvent::EofReason::kDeadline, 0, true);
   }

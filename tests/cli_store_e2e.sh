@@ -14,7 +14,10 @@
 #      flag before they open their input;
 #   7. an unknown --action / --class name fails `analyze`, `slices` and
 #      `store analyze` with the same message (`slices` and `store analyze`
-#      before they open their input).
+#      before they open their input);
+#   8. every `slices --by` mode applies --action/--class or rejects it by
+#      name: `--by dayclass --class C` slices by class, and `--by action
+#      --action`, `--by class --class`, `--by month --class` are errors.
 #
 # Usage: cli_store_e2e.sh <autosens_cli>
 set -euo pipefail
@@ -134,7 +137,7 @@ expect_flag_error() {
   local name="$1" message="$2"
   shift 2
   if "$CLI" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"; then
-    echo "FAIL: $name accepted an unknown slice name" >&2
+    echo "FAIL: $name accepted a bad slice flag" >&2
     exit 1
   fi
   grep -qF -- "$message" "$WORK/$name.err" || {
@@ -155,5 +158,29 @@ expect_flag_error store_analyze_action 'unknown action type: Bogus' \
     store analyze --in "$WORK/missing_store" --action Bogus
 expect_flag_error store_analyze_class 'unknown user class: bogus' \
     store analyze --in "$WORK/missing_store" --class bogus
+
+# A slice flag the --by mode cannot apply is rejected by name, before the
+# input is opened.
+expect_flag_error slices_by_action_action '--action does not apply to --by action' \
+    slices --in "$WORK/missing.bin" --by action --action SelectMail
+expect_flag_error slices_by_class_class '--class does not apply to --by class' \
+    slices --in "$WORK/missing.bin" --by class --class Business
+expect_flag_error slices_by_month_class '--class does not apply to --by month' \
+    slices --in "$WORK/missing.bin" --by month --class Business
+
+# --by dayclass applies --class on its own: each class gives its own curves.
+for class in none Business Consumer; do
+  flags=()
+  [[ "$class" == none ]] || flags=(--class "$class")
+  "$CLI" slices --in "$WORK/data.bin" --by dayclass "${flags[@]}" \
+      > "$WORK/dayclass_$class.out"
+done
+for pair in "none Business" "none Consumer" "Business Consumer"; do
+  read -r a b <<< "$pair"
+  if cmp -s "$WORK/dayclass_$a.out" "$WORK/dayclass_$b.out"; then
+    echo "FAIL: slices --by dayclass gave the same output for --class $a and $b" >&2
+    exit 1
+  fi
+done
 
 echo "PASS: cli store e2e ($rows rows)"

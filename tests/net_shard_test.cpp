@@ -1,11 +1,12 @@
-// Sharded-collector correctness against the poll-era oracle.
+// Sharded-collector correctness against the records that were sent.
 //
-// The sharded epoll collector (net/collector.h) must be *observationally
-// identical* to the preserved single-threaded PollCollector under every
-// injected failure class, at every shard count: same Dataset bytes, all
-// goodbyes credited. The spine's ordering contract makes this exact, not
-// approximate — per-session frame order is preserved through any shard
-// placement, and the Dataset is canonically time-sorted.
+// The sharded epoll collector (net/collector.h) must deliver every emitted
+// record exactly once under every injected failure class, at every shard
+// count: the collected Dataset's bytes equal the encoding of every
+// emitter's records merged in time order, and all goodbyes are credited.
+// The spine's ordering contract makes this exact, not approximate —
+// per-session frame order is preserved through any shard placement, and the
+// Dataset is canonically time-sorted.
 //
 // Also covered here: the kEagainStorm class (edge-triggered loops that
 // trust one EAGAIN as "drained" lose the edge — the shard's bounded re-poll
@@ -14,6 +15,7 @@
 // accounting every connection to exactly one shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "net/collector.h"
-#include "net/collector_poll.h"
 #include "net/emitter.h"
 #include "net/fault.h"
 #include "net/wire.h"
@@ -136,44 +137,41 @@ telemetry::Dataset run_sharded(std::size_t shards, std::size_t emitters,
   return dataset;
 }
 
-/// The oracle: the preserved poll() collector on the identical clean
-/// workload.
-std::vector<std::uint8_t> oracle_bytes(std::size_t emitters, std::size_t per_emitter) {
-  PollCollectorThread collector(emitters, CollectorOptions{}, /*timeout_ms=*/10'000);
-  std::vector<std::thread> threads;
+/// The exact bytes a lossless, exactly-once collection must produce: every
+/// emitter's records merged in time order (times are globally unique, so
+/// the order is fixed) and encoded as one batch.
+std::vector<std::uint8_t> expected_bytes(std::size_t emitters, std::size_t per_emitter) {
+  std::vector<ActionRecord> sent;
+  sent.reserve(emitters * per_emitter);
   for (std::size_t t = 0; t < emitters; ++t) {
-    threads.emplace_back([&, t] {
-      Emitter emitter(collector.port(), {.batch_size = 32});
-      for (const auto& r : striped_records(per_emitter, emitters, t)) emitter.record(r);
-      emitter.close();
-    });
+    const auto records = striped_records(per_emitter, emitters, t);
+    sent.insert(sent.end(), records.begin(), records.end());
   }
-  for (auto& thread : threads) thread.join();
-  auto dataset = collector.join();
-  EXPECT_TRUE(collector.complete());
-  return dataset_bytes(dataset);
+  std::sort(sent.begin(), sent.end(), [](const ActionRecord& a, const ActionRecord& b) {
+    return a.time_ms < b.time_ms;
+  });
+  return telemetry::codec::encode_batch(sent);
 }
 
-TEST(NetShardTest, FaultMatrixByteIdenticalToPollOracleAcrossShardCounts) {
+TEST(NetShardTest, FaultMatrixByteIdenticalToSentRecordsAcrossShardCounts) {
   constexpr std::size_t kPerEmitter = 240;
   constexpr std::size_t kEmitters = 4;
-  const auto oracle = oracle_bytes(kEmitters, kPerEmitter);
-  ASSERT_FALSE(oracle.empty());
+  const auto expected = expected_bytes(kEmitters, kPerEmitter);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    // Clean sharded run first: the refactor itself must be invisible.
+    // Fault-free run first: the baseline every fault class must match.
     const auto clean =
         run_sharded(shards, kEmitters, kPerEmitter, std::nullopt, 0x5a4d);
-    EXPECT_EQ(dataset_bytes(clean), oracle);
+    EXPECT_EQ(dataset_bytes(clean), expected);
 
     for (const auto& matrix_case : kMatrix) {
       SCOPED_TRACE(matrix_case.name);
       const auto dataset =
           run_sharded(shards, kEmitters, kPerEmitter, matrix_case, 0x5a4d);
       EXPECT_EQ(dataset.size(), kEmitters * kPerEmitter);
-      EXPECT_EQ(dataset_bytes(dataset), oracle)
-          << "sharded recovery must be byte-identical to the poll oracle";
+      EXPECT_EQ(dataset_bytes(dataset), expected)
+          << "sharded recovery must deliver exactly the records sent";
     }
   }
 }
@@ -182,10 +180,11 @@ TEST(NetShardTest, EagainStormDoesNotLoseTheEdge) {
   // Bursts of consecutive injected EAGAINs from recv/epoll_wait while the
   // kernel still holds bytes: an edge-triggered loop that believes the
   // first EAGAIN would stall forever. The bounded retry list must keep
-  // re-reading until real progress resumes — dataset still byte-identical.
+  // re-reading until real progress resumes — the dataset is still exactly
+  // the records sent.
   constexpr std::size_t kPerEmitter = 240;
   constexpr std::size_t kEmitters = 4;
-  const auto oracle = oracle_bytes(kEmitters, kPerEmitter);
+  const auto expected = expected_bytes(kEmitters, kPerEmitter);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
@@ -195,7 +194,7 @@ TEST(NetShardTest, EagainStormDoesNotLoseTheEdge) {
         /*collector_side=*/true};
     const auto dataset = run_sharded(shards, kEmitters, kPerEmitter, storm, 0x570c);
     EXPECT_EQ(dataset.size(), kEmitters * kPerEmitter);
-    EXPECT_EQ(dataset_bytes(dataset), oracle);
+    EXPECT_EQ(dataset_bytes(dataset), expected);
   }
 }
 
@@ -204,8 +203,7 @@ TEST(NetShardTest, EventLoopTimerCutsFullySilentConnection) {
   // ever — produces no read return for the deadline to piggyback on. Only
   // the event-loop timer can cut it. The frames delivered before the cut
   // stay in the dataset; the drop is classified as a deadline drop (not an
-  // interrupted session — that classification is for clean EOFs), matching
-  // the poll-era semantics.
+  // interrupted session — that classification is for clean EOFs).
   CollectorOptions options;
   options.shards = 2;
   options.read_deadline_ms = 100;

@@ -128,8 +128,8 @@ TEST(StoreFooterTest, FooterRoundtrip) {
   auto corrupt = bytes;
   corrupt[10] ^= 0xff;
   EXPECT_THROW(decode_footer(corrupt), std::runtime_error);
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 1);
+  ASSERT_FALSE(bytes.empty());
+  const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
   EXPECT_THROW(decode_footer(truncated), std::runtime_error);
 }
 

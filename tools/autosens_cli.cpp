@@ -13,6 +13,7 @@
 // alpha, and replay.
 //   autosens_cli slices    --in telemetry.csv --by action|class|quartile|
 //                          period|month|dayclass [--action A] [--class C]
+//                          (--by action rejects --action; class, month --class)
 //   autosens_cli summary   --in telemetry.csv [--action A] [--class C]
 //   autosens_cli screen    --in telemetry.csv [--action A]
 //   autosens_cli locality  --in telemetry.csv [--action A]
@@ -495,8 +496,16 @@ int cmd_slices(const cli::Args& args) {
   // Parsed before the input is opened: a flag error comes first.
   const auto action = action_flag(args);
   const auto user_class = class_flag(args);
-  const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
   const std::string by = args.require("by");
+  // A slice flag the --by mode cannot apply is an error, never ignored.
+  const auto reject = [&by](bool given, const char* flag) {
+    if (given) {
+      throw std::invalid_argument(std::string("--") + flag + " does not apply to --by " + by);
+    }
+  };
+  if (by == "action") reject(action.has_value(), "action");
+  if (by == "class" || by == "month") reject(user_class.has_value(), "class");
+  const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
   const auto options = options_from_flags(args);
   const auto action_or_mail = action.value_or(telemetry::ActionType::kSelectMail);
 
@@ -515,9 +524,8 @@ int cmd_slices(const cli::Args& args) {
   } else if (by == "month") {
     curves = core::preference_by_month(dataset, options, action_or_mail);
   } else if (by == "dayclass") {
-    auto slice = dataset;
-    if (action) slice = apply_slice_flags(dataset, args);
-    for (auto& entry : core::preference_by_day_class(slice, options)) {
+    for (auto& entry :
+         core::preference_by_day_class(apply_slice_flags(dataset, args), options)) {
       curves.push_back({std::string(core::to_string(entry.day_class)),
                         std::move(entry.preference), entry.records});
     }

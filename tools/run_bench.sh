@@ -20,9 +20,9 @@
 #                         (tools/check_bench_regression.py) can filter
 #                         scheduler spikes instead of gating on a raw mean
 #   BENCH_net.json      — the collector fan-in saturation sweep (records/s vs
-#                         session count, 1→10k): poll() baseline vs the
-#                         sharded epoll collector (1/2/4 shards) vs the
-#                         batched UDP transport, with per-repetition samples
+#                         session count, 1→10k): the sharded epoll
+#                         collector (1/2/4 shards; 1 shard is the baseline)
+#                         vs the batched UDP transport, with per-repetition samples
 #                         on the gated 1k-session rows
 #   BENCH_store.json    — the out-of-core ASL3 store: full-store streaming
 #                         scan (raw bytes/s through decode + CRC) and the
