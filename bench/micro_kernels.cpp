@@ -491,33 +491,34 @@ void BM_ConfidenceReplicates(benchmark::State& state) {
 BENCHMARK(BM_ConfidenceReplicates)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// One bootstrap replicate's α, serial as inside the replicate loop. Arg(0)
-/// re-estimates it from the resample's rows (TimeNormalizer(columns), the
-/// path every replicate took before the day table); Arg(1) folds the
-/// parent's day table, built once outside the timed loop as
+/// One whole bootstrap replicate — α, B, U and the curve — serial as inside
+/// the replicate loop, on one draw. Arg(0) gathers the resample's rows and
+/// analyzes them (analyze_detailed(columns)); Arg(1) folds the parent's day
+/// table (analyze_detailed(DrawnDays)), built once outside the timed loop as
 /// analyze_with_confidence builds it once per call. Same draw, same bits.
-void BM_ReplicateAlpha(benchmark::State& state) {
+void BM_Replicate(benchmark::State& state) {
   const auto& dataset = million_record_dataset();
   const bool by_table = state.range(0) != 0;
   core::AutoSensOptions options;
   options.threads = 1;
   const auto columns = dataset.columns();
-  const auto days = core::day_ranges(columns.times);
-  const core::AlphaDayTable table(columns, options);
+  const core::DayTable table(columns, options);
   stats::Random random(19);
-  const auto drawn = core::draw_days(days.size(), random);
-  const auto resample = core::day_block_resample(columns, days, drawn);
-  const auto replicate = resample.columns();
+  const auto drawn = core::draw_days(table.size(), random);
   for (auto _ : state) {
-    const auto normalizer =
-        by_table ? core::TimeNormalizer(core::DrawnDays{table, drawn}, replicate, options)
-                 : core::TimeNormalizer(replicate, options);
-    benchmark::DoNotOptimize(normalizer.slots().data());
+    if (by_table) {
+      const auto result = core::analyze_detailed(core::DrawnDays{table, drawn}, options);
+      benchmark::DoNotOptimize(result.preference.normalized.data());
+    } else {
+      const auto resample = core::day_block_resample(columns, table.days(), drawn);
+      const auto result = core::analyze_detailed(resample.columns(), options);
+      benchmark::DoNotOptimize(result.preference.normalized.data());
+    }
   }
   state.SetLabel(by_table ? "table" : "rows");
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(replicate.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(table.rows(drawn)));
 }
-BENCHMARK(BM_ReplicateAlpha)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Replicate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The per-row scrub-and-slice that BM_ValidateSlice's Arg(0) freezes: each
 /// surviving row gathered and pushed column by column onto six growing

@@ -7,6 +7,7 @@
 
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "obs/trace.h"
 #include "stats/descriptive.h"
 #include "telemetry/clock.h"
 
@@ -25,17 +26,17 @@ Resample::Resample(telemetry::SampleColumns parent, std::vector<Block> blocks)
 telemetry::SampleColumns Resample::columns() const {
   // Gathered once: the buffers hold size_ rows from then on.
   if (times_.size() != size_) {
-    times_ = stats::PooledVector<std::int64_t>(size_);
-    latencies_ = stats::PooledVector<double>(size_);
-    std::size_t out = 0;
+    times_.reserve(size_);
+    latencies_.reserve(size_);
     for (const auto& block : blocks_) {
-      for (std::size_t i = block.first; i < block.last; ++i, ++out) {
-        times_[out] = parent_.times[i] + block.time_shift;
-        latencies_[out] = parent_.latencies[i];
+      for (std::size_t i = block.first; i < block.last; ++i) {
+        times_.push_back(parent_.times[i] + block.time_shift);
       }
+      latencies_.insert(latencies_.end(), parent_.latencies.begin() + block.first,
+                        parent_.latencies.begin() + block.last);
     }
   }
-  return {times_.span(), latencies_.span()};
+  return {times_, latencies_};
 }
 
 Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& random) {
@@ -88,25 +89,24 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
   if (dataset.empty()) throw std::invalid_argument("analyze: empty dataset");
   if (!dataset.is_sorted()) throw std::invalid_argument("analyze: dataset not sorted");
 
-  // Replicates are block tables over the parent's non-empty days. The α
-  // inputs of every analysis here, the point estimate's included, fold the
-  // parent's per-day table (built once, dropped on return) instead of
-  // rescanning every row.
+  // Every analysis here, the point estimate's included, folds the parent's
+  // per-day table (built once, dropped on return) instead of rescanning
+  // rows; only a Monte-Carlo U still gathers a replicate's rows.
   const auto columns = dataset.columns();
-  const auto days = day_ranges(columns.times);
-  std::optional<AlphaDayTable> alpha_days;
-  if (options.normalize_time_confounder) alpha_days.emplace(columns, options);
-  const auto curve_of = [&](telemetry::SampleColumns analyzed,
-                            std::span<const std::size_t> drawn) {
-    return (alpha_days ? analyze_detailed(analyzed, DrawnDays{*alpha_days, drawn}, options)
-                       : analyze_detailed(analyzed, options))
-        .preference;
+  const DayTable table(columns, options);
+  const auto curve_of = [&](DrawnDays draw) {
+    if (options.unbiased_method != UnbiasedMethod::kMonteCarlo) {
+      return analyze_detailed(draw, options).preference;
+    }
+    if (draw.own_dates) return analyze_detailed(draw, options, columns).preference;
+    const auto resample = day_block_resample(columns, table.days(), draw.drawn);
+    return analyze_detailed(draw, options, resample.columns()).preference;
   };
 
   PreferenceWithConfidence result;
-  std::vector<std::size_t> every_day(days.size());
+  std::vector<std::size_t> every_day(table.size());
   std::iota(every_day.begin(), every_day.end(), std::size_t{0});
-  result.point = curve_of(columns, every_day);
+  result.point = curve_of({.table = table, .drawn = every_day, .own_dates = true});
   result.probe_latency_ms = std::move(probe_latencies);
 
   // Each replicate resamples from its own counter-seeded substream and
@@ -122,14 +122,14 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
   std::vector<Replicate> replicate_draws(confidence.replicates);
   parallel_for_items(
       confidence.replicates, options.threads, [&](std::size_t r) {
+        obs::Span span("replicate");
         stats::Random substream(stats::substream_seed(stream_base, r));
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);
         try {
-          // O(days) setup, no record copy or re-sort.
-          const auto drawn = draw_days(days.size(), substream);
-          const auto resample = day_block_resample(columns, days, drawn);
-          const auto curve = curve_of(resample.columns(), drawn);
+          // O(days) draw; the analysis folds the drawn days' table entries.
+          const auto drawn = draw_days(table.size(), substream);
+          const auto curve = curve_of({.table = table, .drawn = drawn});
           slot.usable = true;
           for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
             if (curve.covers(result.probe_latency_ms[p])) {

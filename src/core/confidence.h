@@ -22,7 +22,6 @@
 #include "core/preference.h"
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
-#include "stats/scratch.h"
 #include "telemetry/dataset.h"
 
 namespace autosens::core {
@@ -43,9 +42,9 @@ struct PreferenceWithConfidence {
 /// One day-block resample as a block table over its parent's sorted
 /// columns: O(blocks) to build, no record copy, no re-sort. It borrows the
 /// parent's columns, which must outlive it unmodified. columns() gathers the
-/// shifted times and latencies once, on first call, into buffers borrowed
-/// from the scratch pool and returned when the resample dies; that first
-/// call is not thread-safe (each bootstrap replicate owns its resample).
+/// shifted times and latencies once, on first call, into vectors the
+/// resample owns; that first call is not thread-safe (each bootstrap
+/// replicate owns its resample).
 class Resample {
  public:
   /// One contiguous run [first, last) of parent rows, each shifted by
@@ -72,8 +71,8 @@ class Resample {
   telemetry::SampleColumns parent_;
   std::vector<Block> blocks_;
   std::size_t size_ = 0;
-  mutable stats::PooledVector<std::int64_t> times_;
-  mutable stats::PooledVector<double> latencies_;
+  mutable std::vector<std::int64_t> times_;
+  mutable std::vector<double> latencies_;
 };
 
 /// A day-block resample of `dataset` (non-empty and sorted, else
@@ -89,8 +88,8 @@ Resample day_block_resample(const telemetry::Dataset& dataset, stats::Random& ra
 std::vector<std::size_t> draw_days(std::size_t day_count, stats::Random& random);
 
 /// The resample that puts parent day days[drawn[s]] (days =
-/// day_ranges(parent.times)) on day s, keeping time-of-day. Its α can be
-/// folded from an AlphaDayTable of `parent` with the same `drawn`.
+/// day_ranges(parent.times)) on day s, keeping time-of-day: the rows a
+/// DrawnDays over a DayTable of `parent` with the same `drawn` describes.
 Resample day_block_resample(telemetry::SampleColumns parent,
                             std::span<const DayRange> days,
                             std::span<const std::size_t> drawn);

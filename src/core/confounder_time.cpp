@@ -10,8 +10,8 @@
 
 #include "core/biased.h"
 #include "core/parallel.h"
+#include "core/simd.h"
 #include "obs/trace.h"
-#include "stats/scratch.h"
 
 namespace autosens::core {
 namespace {
@@ -80,9 +80,25 @@ std::size_t slot_classes(const AutoSensOptions& options) {
   return static_cast<std::size_t>(telemetry::kMillisPerDay / options.alpha_slot_ms);
 }
 
+/// Row offsets of each time-of-day class's run within `times`, the sorted
+/// rows of calendar day `day`: class k holds [bounds[k], bounds[k + 1]),
+/// found by binary search.
+std::vector<std::size_t> class_bounds(std::span<const std::int64_t> times, std::int64_t day,
+                                      std::int64_t slot_ms, std::size_t classes) {
+  std::vector<std::size_t> bounds(classes + 1, 0);
+  for (std::size_t k = 0; k < classes; ++k) {
+    const std::int64_t slot_end =
+        day * telemetry::kMillisPerDay + static_cast<std::int64_t>(k + 1) * slot_ms;
+    bounds[k + 1] = static_cast<std::size_t>(
+        std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(bounds[k]), times.end(),
+                         slot_end) -
+        times.begin());
+  }
+  return bounds;
+}
+
 /// The α inputs of `rows` (sorted, all on calendar day `day`), each class
-/// window clipped to [clip_begin, clip_end), which holds every row. A
-/// class's rows are one contiguous run, found by binary search.
+/// window clipped to [clip_begin, clip_end), which holds every row.
 DayAlphaInputs day_alpha_inputs(telemetry::SampleColumns rows, std::int64_t day,
                                 std::int64_t clip_begin, std::int64_t clip_end,
                                 const AutoSensOptions& options) {
@@ -92,18 +108,16 @@ DayAlphaInputs day_alpha_inputs(telemetry::SampleColumns rows, std::int64_t day,
     return stats::Histogram::covering(0.0, options.max_latency_ms,
                                       options.alpha_bin_width_ms);
   };
+  const auto bounds = class_bounds(rows.times, day, slot_ms, classes);
   DayAlphaInputs inputs;
   inputs.counts.reserve(classes);
   inputs.fractions.reserve(classes);
   inputs.records.reserve(classes);
-  std::size_t first = 0;
   for (std::size_t k = 0; k < classes; ++k) {
     const std::int64_t slot_begin =
         day * telemetry::kMillisPerDay + static_cast<std::int64_t>(k) * slot_ms;
-    const auto last = static_cast<std::size_t>(
-        std::lower_bound(rows.times.begin() + static_cast<std::ptrdiff_t>(first),
-                         rows.times.end(), slot_begin + slot_ms) -
-        rows.times.begin());
+    const std::size_t first = bounds[k];
+    const std::size_t last = bounds[k + 1];
     auto counts = histogram();
     auto fractions = histogram();
     if (last > first) {
@@ -116,9 +130,38 @@ DayAlphaInputs day_alpha_inputs(telemetry::SampleColumns rows, std::int64_t day,
     inputs.counts.push_back(std::move(counts));
     inputs.fractions.push_back(std::move(fractions));
     inputs.records.push_back(last - first);
-    first = last;
   }
   return inputs;
+}
+
+/// Adds N_c of `rows` (sorted, all on calendar day `day`) into `counts`,
+/// classes × analysis bins: the unit fill of each class's run of rows,
+/// integer-valued and so exact in any order.
+void add_class_counts(telemetry::SampleColumns rows, std::int64_t day,
+                      const AutoSensOptions& options, std::span<double> counts) {
+  const std::size_t classes = slot_classes(options);
+  const std::size_t bins = counts.size() / classes;
+  const auto bounds = class_bounds(rows.times, day, options.alpha_slot_ms, classes);
+  for (std::size_t k = 0; k < classes; ++k) {
+    simd::histogram_fill(rows.latencies.subspan(bounds[k], bounds[k + 1] - bounds[k]), 0.0,
+                         options.bin_width_ms, counts.subspan(k * bins, bins));
+  }
+}
+
+/// B = Σ_c w_c·N_c summed in class order, with w_c = 1/α_c of `slots`, or 1
+/// when `slots` is empty; `counts` holds N_c, classes × bins.
+stats::Histogram combine_classes(std::span<const double> counts,
+                                 std::span<const SlotStat> slots,
+                                 const AutoSensOptions& options) {
+  auto histogram = make_latency_histogram(options);
+  const std::size_t bins = histogram.size();
+  std::vector<double> sums(bins, 0.0);
+  for (std::size_t k = 0; (k + 1) * bins <= counts.size(); ++k) {
+    const double weight = slots.empty() ? 1.0 : 1.0 / slots[k].alpha;
+    for (std::size_t i = 0; i < bins; ++i) sums[i] += weight * counts[k * bins + i];
+  }
+  for (std::size_t i = 0; i < bins; ++i) histogram.set_count(i, sums[i]);
+  return histogram;
 }
 
 /// The rows of one day range.
@@ -230,20 +273,123 @@ std::vector<DayRange> day_ranges(std::span<const std::int64_t> times) {
   return days;
 }
 
-AlphaDayTable::AlphaDayTable(telemetry::SampleColumns parent, const AutoSensOptions& options)
-    : slot_ms_(options.alpha_slot_ms) {
-  obs::Span span("alpha_day_table");
-  if (parent.empty()) throw std::invalid_argument("AlphaDayTable: empty dataset");
-  slot_classes(options);  // Throws on a slot width that does not divide a day.
-  const auto days = day_ranges(parent.times);
-  span.attr("days", static_cast<std::int64_t>(days.size()));
-  days_.resize(days.size());
-  parallel_for_items(days.size(), options.threads, [&](std::size_t i) {
-    // The whole day: its class windows are not clipped to the parent's ends.
-    const std::int64_t day_begin = days[i].day * telemetry::kMillisPerDay;
-    days_[i] = day_alpha_inputs(day_rows(parent, days[i].first, days[i].last), days[i].day,
-                                day_begin, day_begin + telemetry::kMillisPerDay, options);
+DayTable::DayTable(telemetry::SampleColumns parent, const AutoSensOptions& options)
+    : parent_(parent), options_(options) {
+  obs::Span span("day_table");
+  if (parent.empty()) throw std::invalid_argument("DayTable: empty dataset");
+  classes_ = slot_classes(options);  // Throws on a slot width that does not divide a day.
+  const auto geometry = make_latency_histogram(options);
+  bins_ = geometry.size();
+  days_ = day_ranges(parent.times);
+  if (options.normalize_time_confounder) alpha_.resize(days_.size());
+  class_counts_.resize(days_.size() * classes_ * bins_);
+  interior_.assign(days_.size(), geometry);
+  const TimeWindow window{.begin_ms = parent.begin_time(), .end_ms = parent.end_time()};
+  parallel_for_items(days_.size(), options.threads, [&](std::size_t i) {
+    const DayRange& range = days_[i];
+    const auto rows = day_rows(parent, range.first, range.last);
+    if (!alpha_.empty()) {
+      // The whole day: its class windows are not clipped to the parent's ends.
+      const std::int64_t day_begin = range.day * telemetry::kMillisPerDay;
+      alpha_[i] = day_alpha_inputs(rows, range.day, day_begin,
+                                   day_begin + telemetry::kMillisPerDay, options);
+    }
+    std::vector<double> counts(classes_ * bins_, 0.0);
+    add_class_counts(rows, range.day, options, counts);
+    std::transform(counts.begin(), counts.end(),
+                   class_counts_.begin() + static_cast<std::ptrdiff_t>(i * counts.size()),
+                   [](double count) { return static_cast<std::uint32_t>(count); });
+    interior_[i] = unbiased_interior(rows, window, options);
   });
+  span.attr("days", static_cast<std::int64_t>(days_.size()));
+  span.attr("classes", static_cast<std::int64_t>(classes_));
+  span.attr("bytes", static_cast<std::int64_t>(bytes()));
+}
+
+std::size_t DayTable::rows(std::span<const std::size_t> drawn) const {
+  std::size_t total = 0;
+  for (const std::size_t entry : drawn) total += days_.at(entry).last - days_.at(entry).first;
+  return total;
+}
+
+std::size_t DayTable::bytes() const noexcept {
+  std::size_t total = class_counts_.size() * sizeof(std::uint32_t) +
+                      interior_.size() * bins_ * sizeof(double) +
+                      days_.size() * sizeof(DayRange);
+  for (const auto& day : alpha_) {
+    for (std::size_t k = 0; k < day.counts.size(); ++k) {
+      total += (day.counts[k].size() + day.fractions[k].size()) * sizeof(double) +
+               sizeof(std::size_t);
+    }
+  }
+  return total;
+}
+
+std::vector<DayTable::Placed> DayTable::place(const DrawnDays& days) const {
+  if (days.drawn.empty()) throw std::invalid_argument("DayTable: empty draw");
+  std::vector<Placed> placed;
+  placed.reserve(days.drawn.size());
+  for (std::size_t s = 0; s < days.drawn.size(); ++s) {
+    const std::size_t entry = days.drawn[s];
+    const DayRange& range = days_.at(entry);
+    if (days.own_dates && s > 0 && entry <= days.drawn[s - 1]) {
+      throw std::invalid_argument("DayTable: days keeping their dates must increase");
+    }
+    placed.push_back(
+        {.entry = entry,
+         .shift = days.own_dates
+                      ? 0
+                      : (static_cast<std::int64_t>(s) - range.day) * telemetry::kMillisPerDay});
+  }
+  return placed;
+}
+
+TimeWindow DayTable::window(std::span<const Placed> placed) const {
+  return {.begin_ms = parent_.times[days_[placed.front().entry].first] + placed.front().shift,
+          .end_ms = parent_.times[days_[placed.back().entry].last - 1] + placed.back().shift + 1};
+}
+
+std::vector<double> DayTable::class_counts(std::span<const Placed> placed) const {
+  const std::size_t size = classes_ * bins_;
+  std::vector<std::uint64_t> sums(size, 0);
+  for (const Placed& p : placed) {
+    const std::uint32_t* day = class_counts_.data() + p.entry * size;
+    for (std::size_t i = 0; i < size; ++i) sums[i] += day[i];
+  }
+  return {sums.begin(), sums.end()};
+}
+
+void DayTable::check(const AutoSensOptions& options) const {
+  if (options.alpha_slot_ms != options_.alpha_slot_ms ||
+      options.bin_width_ms != options_.bin_width_ms ||
+      options.alpha_bin_width_ms != options_.alpha_bin_width_ms ||
+      options.max_latency_ms != options_.max_latency_ms) {
+    throw std::invalid_argument("DayTable: options differ from the table's bin or slot widths");
+  }
+}
+
+stats::Histogram biased_histogram(DrawnDays days, const AutoSensOptions& options) {
+  days.table.check(options);
+  return combine_classes(days.table.class_counts(days.table.place(days)), {}, options);
+}
+
+stats::Histogram unbiased_histogram(DrawnDays days, const AutoSensOptions& options) {
+  const DayTable& table = days.table;
+  table.check(options);
+  const auto placed = table.place(days);
+  std::vector<VoronoiDay> voronoi;
+  voronoi.reserve(placed.size());
+  for (const auto& p : placed) {
+    const DayRange& range = table.days_[p.entry];
+    voronoi.push_back({.rows = day_rows(table.parent_, range.first, range.last),
+                       .shift = p.shift,
+                       .interior = &table.interior_[p.entry]});
+  }
+  // As unbiased_histogram_voronoi: the cell sums, then one scale.
+  const TimeWindow window = table.window(placed);
+  auto histogram = unbiased_cell_sums(voronoi, window, options);
+  histogram.scale(1.0 / static_cast<double>(window.length()));
+  return histogram;
 }
 
 TimeNormalizer::TimeNormalizer(const telemetry::Dataset& dataset,
@@ -259,14 +405,6 @@ TimeNormalizer::TimeNormalizer(const telemetry::Dataset& dataset,
 
 TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
                                const AutoSensOptions& options)
-    : TimeNormalizer(columns, options, nullptr) {}
-
-TimeNormalizer::TimeNormalizer(DrawnDays days, telemetry::SampleColumns columns,
-                               const AutoSensOptions& options)
-    : TimeNormalizer(columns, options, &days) {}
-
-TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options, const DrawnDays* draw)
     : options_(options) {
   obs::Span span("alpha_estimate");
   span.attr("records", static_cast<std::int64_t>(columns.size()));
@@ -275,26 +413,43 @@ TimeNormalizer::TimeNormalizer(telemetry::SampleColumns columns,
   const std::int64_t begin = columns.begin_time();
   const std::int64_t end = columns.end_time();
   const auto days = day_ranges(columns.times);
-  if (draw != nullptr && (draw->drawn.size() != days.size() ||
-                          draw->table.slot_ms_ != options_.alpha_slot_ms)) {
-    throw std::invalid_argument("TimeNormalizer: the draw does not match the columns");
-  }
-  // A drawn day other than the first and last is whole, so its inputs are
-  // the table's; every other day's come from its rows, one task per day.
-  const auto from_table = [&](std::size_t i) {
-    return draw != nullptr && i > 0 && i + 1 < days.size();
-  };
   std::vector<DayAlphaInputs> computed(days.size());
   parallel_for_items(days.size(), options_.threads, [&](std::size_t i) {
-    if (from_table(i)) return;
     computed[i] = day_alpha_inputs(day_rows(columns, days[i].first, days[i].last),
                                    days[i].day, begin, end, options_);
   });
   std::vector<const DayAlphaInputs*> sequence(days.size());
-  for (std::size_t i = 0; i < days.size(); ++i) {
-    sequence[i] = from_table(i) ? &draw->table.days_.at(draw->drawn[i]) : &computed[i];
-  }
+  for (std::size_t i = 0; i < days.size(); ++i) sequence[i] = &computed[i];
   slots_ = estimate_slots(sequence, begin, end, options_);
+}
+
+TimeNormalizer::TimeNormalizer(DrawnDays days, const AutoSensOptions& options)
+    : options_(options) {
+  obs::Span span("alpha_estimate");
+  const DayTable& table = days.table;
+  table.check(options_);
+  if (table.alpha_.empty()) {
+    throw std::invalid_argument("TimeNormalizer: the day table holds no α inputs");
+  }
+  const auto placed = table.place(days);
+  const TimeWindow window = table.window(placed);
+  span.attr("records", static_cast<std::int64_t>(table.rows(days.drawn)));
+  // The first and last slot, clipped at the draw's ends, from the parent's
+  // rows in the parent's dates; a whole-day shift keeps their inputs.
+  const auto clipped = [&](const DayTable::Placed& p) {
+    const DayRange& range = table.days_[p.entry];
+    return day_alpha_inputs(day_rows(table.parent_, range.first, range.last), range.day,
+                            window.begin_ms - p.shift, window.end_ms - p.shift, options_);
+  };
+  const DayAlphaInputs first = clipped(placed.front());
+  const DayAlphaInputs last = placed.size() > 1 ? clipped(placed.back()) : DayAlphaInputs{};
+  std::vector<const DayAlphaInputs*> sequence(placed.size());
+  for (std::size_t s = 0; s < placed.size(); ++s) {
+    sequence[s] = s == 0                   ? &first
+                  : s + 1 == placed.size() ? &last
+                                           : &table.alpha_[placed[s].entry];
+  }
+  slots_ = estimate_slots(sequence, window.begin_ms, window.end_ms, options_);
 }
 
 double TimeNormalizer::alpha_at(std::int64_t time_ms) const noexcept {
@@ -303,33 +458,18 @@ double TimeNormalizer::alpha_at(std::int64_t time_ms) const noexcept {
 }
 
 stats::Histogram TimeNormalizer::normalized_biased(telemetry::SampleColumns columns) const {
-  const auto times = columns.times;
-  const auto latencies = columns.latencies;
-  // Hoist the per-slot 1/α into a table; each chunk gathers its weights into
-  // a pooled flat array and bulk-adds the latency sub-span against it.
-  std::vector<double> inverse_alpha(slots_.size(), 1.0);
-  for (std::size_t k = 0; k < slots_.size(); ++k) {
-    inverse_alpha[k] = 1.0 / slots_[k].alpha;
+  std::vector<double> counts(slots_.size() * make_latency_histogram(options_).size(), 0.0);
+  if (!columns.empty()) {
+    for (const auto& day : day_ranges(columns.times)) {
+      add_class_counts(day_rows(columns, day.first, day.last), day.day, options_, counts);
+    }
   }
-  return parallel_map_reduce<stats::Histogram>(
-      times.size(), options_.threads, kRecordChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto histogram =
-            stats::Histogram::covering(0.0, options_.max_latency_ms, options_.bin_width_ms,
-                                       stats::ScratchPool<double>::take());
-        std::vector<double> weights = stats::ScratchPool<double>::take();
-        weights.clear();
-        weights.reserve(end - begin);
-        TimeOfDayCursor time_of_day(options_.alpha_slot_ms);
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto k = time_of_day(times[i]);
-          weights.push_back(k < inverse_alpha.size() ? inverse_alpha[k] : 1.0);
-        }
-        histogram.add_all(latencies.subspan(begin, end - begin), weights);
-        stats::ScratchPool<double>::give(std::move(weights));
-        return histogram;
-      },
-      merge_and_recycle);
+  return combine_classes(counts, slots_, options_);
+}
+
+stats::Histogram TimeNormalizer::normalized_biased(DrawnDays days) const {
+  days.table.check(options_);
+  return combine_classes(days.table.class_counts(days.table.place(days)), slots_, options_);
 }
 
 std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,

@@ -64,33 +64,86 @@ struct DayAlphaInputs {
   std::vector<std::size_t> records;
 };
 
-/// The α inputs of every non-empty day of a day-block bootstrap's parent,
-/// each class window whole (not clipped at the parent's first or last row):
-/// entry i belongs to day_ranges(parent)[i], the unit a resample draws. A
-/// whole-day shift keeps every row's class and every in-window Voronoi cell
-/// (cell edges are exact half-integer milliseconds), so a resample's whole
-/// days have exactly these inputs. Built per analyze_with_confidence call;
-/// nothing keeps it beyond that.
-class AlphaDayTable {
+struct DrawnDays;
+
+/// The per-day tables of a day-block bootstrap's parent (DESIGN §6b), one
+/// entry per non-empty day — the unit a resample draws:
+///  - α's inputs (DayAlphaInputs), each class window whole, not clipped at
+///    the parent's first or last row (only when
+///    options.normalize_time_confounder);
+///  - B's counts per time-of-day class at the analysis bin width;
+///  - U's interior partial (unbiased_interior).
+/// A whole-day shift keeps every row's class and every cell inside a day
+/// (cell edges are exact half-integer milliseconds), so a resample's days
+/// have exactly these entries; only the first and last equal-time run of
+/// each drawn day, and α's inputs of the first and last drawn day, depend on
+/// the draw. The table borrows `parent`, which must outlive it unmodified.
+/// Built per analyze_with_confidence call; nothing keeps it beyond that.
+class DayTable {
  public:
   /// `parent` sorted (not checked) and non-empty; options.alpha_slot_ms must
   /// divide a day (std::invalid_argument otherwise).
-  AlphaDayTable(telemetry::SampleColumns parent, const AutoSensOptions& options);
+  DayTable(telemetry::SampleColumns parent, const AutoSensOptions& options);
 
   std::size_t size() const noexcept { return days_.size(); }
+  /// The parent's non-empty days: entry i describes days()[i].
+  std::span<const DayRange> days() const noexcept { return days_; }
+  /// Rows of the drawn days (throws std::out_of_range for a day outside).
+  std::size_t rows(std::span<const std::size_t> drawn) const;
+  /// Heap bytes the entries hold.
+  std::size_t bytes() const noexcept;
 
  private:
   friend class TimeNormalizer;
-  std::int64_t slot_ms_ = 0;
-  std::vector<DayAlphaInputs> days_;
+  friend stats::Histogram biased_histogram(DrawnDays days, const AutoSensOptions& options);
+  friend stats::Histogram unbiased_histogram(DrawnDays days, const AutoSensOptions& options);
+
+  /// Where a draw puts each table day: its entry and its time shift.
+  struct Placed {
+    std::size_t entry = 0;
+    std::int64_t shift = 0;
+  };
+  std::vector<Placed> place(const DrawnDays& days) const;
+  /// The placed rows' own [begin, end) window.
+  TimeWindow window(std::span<const Placed> placed) const;
+  /// B's per-class counts of the placed days, classes × bins.
+  std::vector<double> class_counts(std::span<const Placed> placed) const;
+  /// Throws std::invalid_argument unless `options` has the table's geometry.
+  void check(const AutoSensOptions& options) const;
+
+  telemetry::SampleColumns parent_;
+  AutoSensOptions options_;
+  std::size_t classes_ = 0;
+  std::size_t bins_ = 0;
+  std::vector<DayRange> days_;
+  std::vector<DayAlphaInputs> alpha_;        ///< Empty unless α is normalized.
+  std::vector<std::uint32_t> class_counts_;  ///< days × classes × bins.
+  std::vector<stats::Histogram> interior_;
 };
 
-/// A day-block resample's α source: its parent's table and, for each of its
-/// days in order, the table entry drawn onto that day.
+/// A resample of a DayTable's parent described by its draw: slot s holds the
+/// rows of table day drawn[s]. By default slot s lands on day s, keeping
+/// time-of-day (what day_block_resample builds); with own_dates every slot
+/// keeps its table day's date, so `drawn` must be strictly increasing — a
+/// selection of the parent's days, the parent itself when every day is
+/// drawn.
 struct DrawnDays {
-  const AlphaDayTable& table;
+  const DayTable& table;
   std::span<const std::size_t> drawn;
+  bool own_dates = false;
 };
+
+/// B of the drawn rows with unit weights (no α normalization), folded from
+/// the table: bit-identical to biased_histogram over those rows. Throws
+/// like TimeNormalizer(DrawnDays, ...).
+stats::Histogram biased_histogram(DrawnDays days, const AutoSensOptions& options);
+
+/// The Voronoi U of the drawn rows over their own [begin, end) window,
+/// folded from the table: the interior partials of the drawn days plus the
+/// cells of each slot's boundary runs, read from the parent's rows.
+/// Bit-identical to unbiased_histogram over those rows with
+/// UnbiasedMethod::kVoronoi. Throws like TimeNormalizer(DrawnDays, ...).
+stats::Histogram unbiased_histogram(DrawnDays days, const AutoSensOptions& options);
 
 class TimeNormalizer {
  public:
@@ -105,16 +158,13 @@ class TimeNormalizer {
   /// clipped to the columns' [begin, end) and folds them in day order.
   TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options);
 
-  /// The same, bit for bit, for columns whose s-th non-empty day holds the
-  /// rows of table entry days.drawn[s], shifted by whole days: a day-block
-  /// resample of the table's parent, or the parent itself with drawn[s] = s.
-  /// The days between the first and last fold the table's inputs; only
-  /// those two, clipped at the data's ends, are computed from `columns`.
-  /// Throws std::invalid_argument when the draw's length is not the
-  /// columns' day count or the table's slot width differs, and
-  /// std::out_of_range when it names a day outside the table.
-  TimeNormalizer(DrawnDays days, telemetry::SampleColumns columns,
-                 const AutoSensOptions& options);
+  /// The same, bit for bit, for the drawn rows: the slots between the first
+  /// and last fold the table's inputs; only those two, clipped at the
+  /// draw's ends, are computed, from the parent's rows. Throws
+  /// std::invalid_argument for an empty draw, own dates out of order, a
+  /// table built without α or with other bin or slot widths, and
+  /// std::out_of_range for a day outside the table.
+  TimeNormalizer(DrawnDays days, const AutoSensOptions& options);
 
   /// One entry per time-of-day class (even classes without records).
   const std::vector<SlotStat>& slots() const noexcept { return slots_; }
@@ -122,15 +172,15 @@ class TimeNormalizer {
   /// α of the time-of-day class containing `time_ms`.
   double alpha_at(std::int64_t time_ms) const noexcept;
 
-  /// The α-normalized biased histogram: each record weighted 1/α of its
-  /// slot, in the analysis bin width (options.bin_width_ms).
+  /// The α-normalized biased histogram at the analysis bin width
+  /// (options.bin_width_ms): B = Σ_c (1/α_c)·N_c, summed in class order,
+  /// where N_c counts the rows of time-of-day class c per bin.
   stats::Histogram normalized_biased(telemetry::SampleColumns columns) const;
 
- private:
-  /// Both public column constructors: α from the rows, or from `draw`.
-  TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options,
-                 const DrawnDays* draw);
+  /// The same, bit for bit, for the drawn rows, N_c folded from the table.
+  stats::Histogram normalized_biased(DrawnDays days) const;
 
+ private:
   AutoSensOptions options_;
   std::vector<SlotStat> slots_;
 };

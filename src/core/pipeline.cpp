@@ -60,16 +60,23 @@ AnalysisResult finish_analysis(std::size_t records, stats::Histogram biased,
                         .slots = std::move(slots)};
 }
 
-/// biased_distribution, with α from `days` when given (a bootstrap
-/// replicate) and from the rows otherwise.
+/// The unbiased stage of analyze_detailed over columns.
+stats::Histogram unbiased_stage(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options) {
+  obs::Span span("unbiased", &metrics().unbiased_ms);
+  span.attr("method",
+            options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi");
+  return unbiased_histogram(columns, options);
+}
+
+}  // namespace
+
 stats::Histogram biased_distribution(telemetry::SampleColumns columns,
                                      const AutoSensOptions& options,
-                                     std::vector<SlotStat>& slots, const DrawnDays* days) {
+                                     std::vector<SlotStat>& slots) {
   if (options.normalize_time_confounder) {
     obs::Span span("alpha_normalize", &metrics().alpha_ms);
-    const TimeNormalizer normalizer = days != nullptr
-                                          ? TimeNormalizer(*days, columns, options)
-                                          : TimeNormalizer(columns, options);
+    const TimeNormalizer normalizer(columns, options);
     slots = normalizer.slots();
     span.attr("slots", static_cast<std::int64_t>(slots.size()));
     return normalizer.normalized_biased(columns);
@@ -78,41 +85,46 @@ stats::Histogram biased_distribution(telemetry::SampleColumns columns,
   return biased_histogram(columns.latencies, options);
 }
 
-/// analyze_detailed over columns, α as in biased_distribution above.
-AnalysisResult analyze_columns(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options, const DrawnDays* days) {
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options) {
   if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
   metrics().records.inc(columns.size());
-
   std::vector<SlotStat> slots;
-  stats::Histogram biased = biased_distribution(columns, options, slots, days);
-
-  stats::Histogram unbiased = [&] {
-    obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method",
-              options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi");
-    return unbiased_histogram(columns, options);
-  }();
+  stats::Histogram biased = biased_distribution(columns, options, slots);
+  stats::Histogram unbiased = unbiased_stage(columns, options);
   return finish_analysis(columns.size(), std::move(biased), std::move(unbiased),
                          std::move(slots), options);
 }
 
-}  // namespace
-
-stats::Histogram biased_distribution(telemetry::SampleColumns columns,
-                                     const AutoSensOptions& options,
-                                     std::vector<SlotStat>& slots) {
-  return biased_distribution(columns, options, slots, nullptr);
-}
-
-AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
-                                const AutoSensOptions& options) {
-  return analyze_columns(columns, options, nullptr);
-}
-
-AnalysisResult analyze_detailed(telemetry::SampleColumns columns, DrawnDays days,
-                                const AutoSensOptions& options) {
-  return analyze_columns(columns, options, &days);
+AnalysisResult analyze_detailed(DrawnDays days, const AutoSensOptions& options,
+                                telemetry::SampleColumns rows) {
+  const std::size_t records = days.table.rows(days.drawn);
+  metrics().records.inc(records);
+  std::vector<SlotStat> slots;
+  stats::Histogram biased = [&] {
+    if (options.normalize_time_confounder) {
+      obs::Span span("alpha_normalize", &metrics().alpha_ms);
+      const TimeNormalizer normalizer(days, options);
+      slots = normalizer.slots();
+      span.attr("slots", static_cast<std::int64_t>(slots.size()));
+      return normalizer.normalized_biased(days);
+    }
+    obs::Span span("biased_fill", &metrics().biased_ms);
+    return biased_histogram(days, options);
+  }();
+  stats::Histogram unbiased = [&] {
+    if (options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
+      if (rows.size() != records) {
+        throw std::invalid_argument("analyze: a Monte-Carlo U needs the drawn rows");
+      }
+      return unbiased_stage(rows, options);
+    }
+    obs::Span span("unbiased", &metrics().unbiased_ms);
+    span.attr("method", "voronoi");
+    return unbiased_histogram(days, options);
+  }();
+  return finish_analysis(records, std::move(biased), std::move(unbiased), std::move(slots),
+                         options);
 }
 
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,

@@ -29,11 +29,13 @@ struct AnalysisResult {
 AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
                                 const AutoSensOptions& options);
 
-/// The same, bit for bit, with α folded from a day table (see
-/// TimeNormalizer(DrawnDays, ...)) instead of re-estimated from every row.
-/// `days` is used only when options.normalize_time_confounder.
-AnalysisResult analyze_detailed(telemetry::SampleColumns columns, DrawnDays days,
-                                const AutoSensOptions& options);
+/// The same, bit for bit, for the rows a draw describes (DrawnDays): α, B
+/// and the Voronoi U fold the DayTable's per-day entries, and only each
+/// slot's boundary rows are read from the parent. A Monte-Carlo U draws
+/// from rows, so with UnbiasedMethod::kMonteCarlo `rows` must be those
+/// columns (Resample::columns()); a Voronoi analysis never reads them.
+AnalysisResult analyze_detailed(DrawnDays days, const AutoSensOptions& options,
+                                telemetry::SampleColumns rows = {});
 
 /// The same on a scrubbed dataset: checks that it is sorted (throws
 /// std::invalid_argument otherwise), then analyzes its columns.

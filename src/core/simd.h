@@ -1,8 +1,7 @@
 // Runtime-dispatched SIMD kernels for the loops that touch every row: the
-// biased (B) and unbiased (U) histogram fills and the per-window Voronoi
-// weight scaling. Everything downstream of the fills works on bins (300
-// latency bins, 30 α-bins per class) and is plain scalar code in its one
-// caller.
+// biased (B) and unbiased (U) histogram fills and the Voronoi scaling.
+// Everything downstream of the fills works on bins (300 latency bins, 30
+// α-bins per class) and is plain scalar code in its one caller.
 //
 // Dispatch mirrors the PCLMULQDQ CRC pattern in telemetry/binlog.cpp:
 // `__builtin_cpu_supports` picks an `__attribute__((target("avx2")))` variant

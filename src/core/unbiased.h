@@ -31,7 +31,9 @@ stats::Histogram unbiased_histogram_mc(std::span<const std::int64_t> times,
                                        TimeWindow window, const AutoSensOptions& options,
                                        stats::Random& random);
 
-/// U over one window via exact Voronoi weights (deterministic).
+/// U over one window via exact Voronoi weights (deterministic): the Voronoi
+/// cell sums of the rows' calendar days (unbiased_cell_sums) scaled once by
+/// 1 / window length. `times` sorted ascending and non-empty.
 stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
                                             std::span<const double> latencies,
                                             TimeWindow window,
@@ -68,6 +70,36 @@ stats::Histogram unbiased_histogram_over_windows_sorted(
 /// (confounder_time.h) are folded from.
 void add_window_unbiased(stats::Histogram& histogram, std::span<const std::int64_t> times,
                          std::span<const double> latencies, TimeWindow window);
+
+/// One non-empty calendar day of a Voronoi U: its sorted rows, which the
+/// analysis sees shifted by `shift` milliseconds (a whole number of days: a
+/// day-block resample moves a parent day onto another date), and its
+/// interior partial, unbiased_interior() of the same rows.
+struct VoronoiDay {
+  telemetry::SampleColumns rows;
+  std::int64_t shift = 0;
+  const stats::Histogram* interior = nullptr;
+};
+
+/// The unnormalized Voronoi cell sums (ms), per analysis bin, of one day's
+/// interior rows: all rows but those of the day's first and last
+/// equal-time runs, whose cells reach into the neighbouring days. The cells
+/// are computed in L1-sized blocks, each fed to the weighted fill. `day`:
+/// one calendar day's sorted rows, inside `window`. An interior cell lies
+/// inside its day, so a whole-day shift leaves the partial unchanged.
+stats::Histogram unbiased_interior(telemetry::SampleColumns day, TimeWindow window,
+                                   const AutoSensOptions& options);
+
+/// The unnormalized Voronoi cell sums over `window` of `days` (in order,
+/// their shifted times sorted overall): the interior partials merged in day
+/// order, then each day's boundary runs — its first equal-time run, then its
+/// last — added row by row with their cells against the neighbouring days.
+/// The one definition of the Voronoi U's sums, for a dataset's rows and for
+/// a bootstrap replicate folded from a DayTable alike. On data without
+/// equal-time runs every weight is a half-integer cell, so each bin's sum is
+/// exact in double and independent of the fill order.
+stats::Histogram unbiased_cell_sums(std::span<const VoronoiDay> days, TimeWindow window,
+                                    const AutoSensOptions& options);
 
 /// U over sorted columns' own [begin, end) window, honoring
 /// options.unbiased_method. Precondition (not checked): times sorted.

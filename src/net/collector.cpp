@@ -395,6 +395,7 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
   std::size_t goodbyes = 0;
   Session* session = nullptr;
   bool accepting = false;
+  std::uint32_t datagram = 0;  ///< The current datagram's seq.
 
   for (auto& frame : event.frames) {
     if (frame.type == FrameType::kHello) {
@@ -421,6 +422,7 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
       // datagram number. A duplicate datagram is skipped whole; a fresh
       // one (including one filling an old gap) is applied.
       bool fresh = true;
+      datagram = frame.seq;
       if (frame.seq != 0) {
         if (frame.seq > s.dg_last) {
           std::uint64_t gaps = static_cast<std::uint64_t>(frame.seq) - s.dg_last - 1;
@@ -441,6 +443,10 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
       if (!fresh) {
         stats_.udp_duplicate_datagrams.add();
         collector_metrics().dedup_hits.inc();
+        if (frame.seq == s.goodbye_datagram && s.goodbye_copies_due > 0) {
+          --s.goodbye_copies_due;
+          --goodbye_copies_due_;
+        }
         accepting = false;
         session = nullptr;
         continue;
@@ -455,7 +461,15 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
     collector_metrics().frames.inc();
     bool saw_goodbye = false;
     bool dead = false;
-    goodbyes += apply_frame(frame, session, saw_goodbye, &dead);
+    const std::size_t credited = apply_frame(frame, session, saw_goodbye, &dead);
+    if (credited > 0 && datagram != 0) {
+      // The goodbye's later copies are on their way: wait for them.
+      const std::uint32_t copies = parse_goodbye_copies(frame.payload).value_or(1);
+      session->goodbye_datagram = datagram;
+      session->goodbye_copies_due = copies > 0 ? copies - 1 : 0;
+      goodbye_copies_due_ += session->goodbye_copies_due;
+    }
+    goodbyes += credited;
     if (dead) {
       // Undecodable payload inside a datagram: skip the datagram's
       // remainder; there is no connection to drop.
@@ -589,21 +603,28 @@ bool Collector::serve_until_goodbye(std::size_t expected_goodbyes, int timeout_m
   collector_metrics().idle_timeout_outcome.set(0.0);
 
   ShardEvent event;
-  while (goodbyes < expected_goodbyes) {
+  // A UDP goodbye's later copies are awaited only while the idle timeout can
+  // end the wait: a lost copy must not block forever.
+  const auto done = [&] {
+    return goodbyes >= expected_goodbyes && (goodbye_copies_due_ == 0 || timeout_ms < 0);
+  };
+  while (!done()) {
     bool any = false;
     for (auto& queue : event_queues_) {
       while (queue->try_pop(event)) {
         any = true;
         goodbyes += apply_event(event);
-        if (goodbyes >= expected_goodbyes) break;
+        if (done()) break;
       }
-      if (goodbyes >= expected_goodbyes) break;
+      if (done()) break;
     }
     if (any) {
       last_activity = Clock::now();
       continue;
     }
     if (timeout_ms >= 0 && ms_between(last_activity, Clock::now()) >= timeout_ms) {
+      // Every goodbye arrived; only redundant copies were lost on the way.
+      if (goodbyes >= expected_goodbyes) break;
       collector_metrics().idle_timeout_outcome.set(1.0);
       obs::log_info("collector.idle_timeout", {{"timeout_ms", timeout_ms},
                                                {"goodbyes", goodbyes},

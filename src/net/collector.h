@@ -111,9 +111,11 @@ class Collector {
 
   /// Run the spine until `expected_goodbyes` sessions (or sessionless
   /// connections) have sent kGoodbye, or until `timeout_ms` elapses with no
-  /// ingest activity at all (whichever first). Returns true if all
-  /// goodbyes arrived. On return, UDP sessions are finalized: outstanding
-  /// datagram gaps are counted into autosens_net_udp_lost_total.
+  /// ingest activity at all (whichever first). A UDP goodbye announces its
+  /// copies: with a timeout the spine also waits for every copy, or for the
+  /// idle timeout when one was lost on the way. Returns true if all goodbyes
+  /// arrived. On return, UDP sessions are finalized: outstanding datagram
+  /// gaps are counted into autosens_net_udp_lost_total.
   bool serve_until_goodbye(std::size_t expected_goodbyes, int timeout_ms = 5000);
 
   const telemetry::Dataset& dataset() const noexcept { return dataset_; }
@@ -138,6 +140,8 @@ class Collector {
     std::set<std::uint32_t> dg_missing;  ///< Datagram gaps (UDP loss-to-be).
     std::size_t dg_overflow = 0;
     bool said_goodbye = false;
+    std::uint32_t goodbye_datagram = 0;    ///< Datagram seq of the UDP goodbye.
+    std::uint32_t goodbye_copies_due = 0;  ///< Its copies not yet arrived.
     bool finalized = false;  ///< Loss already counted for this session.
     std::size_t connections_seen = 0;
     std::uint64_t trace_span = 0;  ///< Emitter connect span from the hello.
@@ -211,6 +215,9 @@ class Collector {
   /// Keyed by (shard << 32 | conn serial); spine-thread only.
   std::unordered_map<std::uint64_t, ConnState> conns_;
   AtomicStats stats_;
+  /// Announced UDP goodbye copies not yet arrived, over all sessions;
+  /// serve_until_goodbye waits for them. Spine-thread only.
+  std::size_t goodbye_copies_due_ = 0;
   std::uint64_t status_section_id_ = 0;
   std::string health_name_;
 };

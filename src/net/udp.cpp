@@ -194,10 +194,9 @@ void UdpEmitter::close() {
     ship();
   }
 
-  Frame goodbye;
-  goodbye.type = FrameType::kGoodbye;
-  goodbye.seq = next_seq_++;
-  queue_frame(goodbye, /*remember=*/false);
+  queue_frame(make_udp_goodbye(next_seq_++, static_cast<std::uint32_t>(std::max<std::size_t>(
+                                                 options_.goodbye_copies, 1))),
+              /*remember=*/false);
   seal_datagram();
   // The goodbye datagram ships goodbye_copies times byte-identically (same
   // datagram number): surviving any copy ends the session; extra copies

@@ -18,7 +18,10 @@
 //    up in the loss counter but not in the Dataset, as long as not both
 //    copies die. Duplicates are deduped by frame seq.
 //  - goodbye ships goodbye_copies times as the *same* datagram bytes (same
-//    datagram seq): copies collapse in the datagram dedup.
+//    datagram seq): copies collapse in the datagram dedup. The goodbye
+//    carries the copy count, and the collector keeps serving until every
+//    copy has arrived (or the idle timeout passes), so its duplicate count
+//    does not depend on when the later copies land.
 //  - drop_datagrams is a seeded drop plan for tests: listed datagram
 //    numbers are silently never sent, producing exact, predictable loss.
 //

@@ -75,6 +75,19 @@ Frame make_hello(std::uint64_t session_id, const WireTraceContext& trace) {
   return frame;
 }
 
+Frame make_udp_goodbye(std::uint32_t seq, std::uint32_t copies) {
+  Frame frame{.type = FrameType::kGoodbye, .seq = seq, .span_id = 0, .payload = {}};
+  put_u32(frame.payload, copies);
+  return frame;
+}
+
+std::optional<std::uint32_t> parse_goodbye_copies(
+    std::span<const std::uint8_t> payload) noexcept {
+  if (payload.empty()) return 1;
+  if (payload.size() != 4) return std::nullopt;
+  return read_u32(payload.first<4>());
+}
+
 std::optional<std::uint64_t> parse_hello(std::span<const std::uint8_t> payload) noexcept {
   if (payload.size() != 8 && payload.size() != 24) return std::nullopt;
   return read_u64(payload.data());

@@ -56,7 +56,8 @@ inline constexpr std::size_t kFrameSpanIdBytes = 8;
 enum class FrameType : std::uint8_t {
   kData = 1,     ///< Payload is an encoded record batch.
   kFlush = 2,    ///< Sender requests durability point (no payload).
-  kGoodbye = 3,  ///< Orderly end of stream (no payload).
+  kGoodbye = 3,  ///< Orderly end of stream (no payload; a UDP session's
+                 ///< carries its copy count, make_udp_goodbye).
   kHello = 4,    ///< First frame of a connection: payload is a u64 session
                  ///< id, stable across the emitter's reconnects.
 };
@@ -92,6 +93,16 @@ std::optional<std::uint64_t> parse_hello(std::span<const std::uint8_t> payload) 
 /// Extract the trace context from an extended kHello payload; nullopt for
 /// the plain 8-byte form or malformed payloads.
 std::optional<WireTraceContext> parse_hello_trace(
+    std::span<const std::uint8_t> payload) noexcept;
+
+/// A UDP session's kGoodbye frame. Its payload is the u32 number of
+/// byte-identical copies of its datagram the emitter sends, so the
+/// collector can wait for every copy instead of racing the later ones.
+Frame make_udp_goodbye(std::uint32_t seq, std::uint32_t copies);
+
+/// The copy count of a kGoodbye payload: 1 for the empty form, nullopt if
+/// malformed.
+std::optional<std::uint32_t> parse_goodbye_copies(
     std::span<const std::uint8_t> payload) noexcept;
 
 /// Write one frame to the socket.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/parallel.h"
-
 namespace autosens::stats {
 namespace {
 
@@ -52,29 +50,24 @@ std::size_t nearest_index_unchecked(std::span<const std::int64_t> times, std::in
   return chosen;
 }
 
-/// Weights and total cell length for the duplicate-time runs that START in
-/// [first, last). Neighbour times outside the range are read, never written.
-double voronoi_fill(std::span<const std::int64_t> times, std::size_t first,
-                    std::size_t last, double begin, double end,
+/// Weights and total cell length of sorted, non-empty `times`.
+double voronoi_fill(std::span<const std::int64_t> times, double begin, double end,
                     std::span<double> weights) {
   const std::size_t n = times.size();
   double total = 0.0;
-  std::size_t i = first;
-  while (i < last) {
+  std::size_t i = 0;
+  while (i < n) {
     // Group duplicates: they split their shared cell equally (the random
     // tie-break of the sampling procedure is uniform over them).
-    std::size_t j = i;
-    while (j + 1 < n && times[j + 1] == times[i]) ++j;
-    const double t = static_cast<double>(times[i]);
-    const double left_edge =
-        i == 0 ? begin : std::max(begin, 0.5 * (static_cast<double>(times[i - 1]) + t));
-    const double right_edge =
-        j + 1 == n ? end : std::min(end, 0.5 * (t + static_cast<double>(times[j + 1])));
-    const double cell = std::max(0.0, right_edge - left_edge);
-    const double share = cell / static_cast<double>(j - i + 1);
-    for (std::size_t k = i; k <= j; ++k) weights[k] = share;
+    std::size_t j = i + 1;
+    while (j < n && times[j] == times[i]) ++j;
+    const double cell =
+        voronoi_cell(i == 0 ? std::nullopt : std::optional(times[i - 1]), times[i],
+                     j == n ? std::nullopt : std::optional(times[j]), begin, end);
+    const double share = cell / static_cast<double>(j - i);
+    for (std::size_t k = i; k < j; ++k) weights[k] = share;
     total += cell;
-    i = j + 1;
+    i = j;
   }
   return total;
 }
@@ -106,39 +99,16 @@ std::vector<std::size_t> nearest_sample_draws(std::span<const std::int64_t> time
 }
 
 std::vector<double> voronoi_weights(std::span<const std::int64_t> times,
-                                    std::int64_t window_begin, std::int64_t window_end,
-                                    std::size_t threads) {
+                                    std::int64_t window_begin, std::int64_t window_end) {
   if (times.empty()) throw std::invalid_argument("voronoi_weights: empty times");
   if (!(window_end > window_begin)) throw std::invalid_argument("voronoi_weights: empty window");
-  const std::size_t n = times.size();
-  std::vector<double> weights(n, 0.0);
-  const double begin = static_cast<double>(window_begin);
-  const double end = static_cast<double>(window_end);
-
-  // Chunk boundaries aligned to run starts so every duplicate-time run is
-  // handled by exactly one chunk. The grid depends only on n, so weights
-  // and the chunk-ordered cell total are thread-count invariant.
-  const core::ChunkGrid grid = core::make_chunk_grid(n, core::kRecordChunk);
-  std::vector<std::size_t> starts(grid.chunks + 1, n);
-  for (std::size_t c = 0; c < grid.chunks; ++c) {
-    std::size_t idx = grid.begin(c);
-    while (idx < n && idx > 0 && times[idx] == times[idx - 1]) ++idx;
-    starts[c] = idx;
-  }
-
-  std::vector<double> totals(grid.chunks, 0.0);
-  core::parallel_for_items(grid.chunks, threads, [&](std::size_t c) {
-    totals[c] = voronoi_fill(times, starts[c], starts[c + 1], begin, end, weights);
-  });
-  double total = 0.0;
-  for (const double t : totals) total += t;
-
+  std::vector<double> weights(times.size());
+  // Cells are exact half-integer milliseconds, so their total is exact too.
+  const double total = voronoi_fill(times, static_cast<double>(window_begin),
+                                    static_cast<double>(window_end), weights);
   if (total > 0.0) {
     const double inv = 1.0 / total;
-    core::parallel_for(n, threads, core::kRecordChunk,
-                       [&](std::size_t first, std::size_t last, std::size_t /*chunk*/) {
-                         for (std::size_t i = first; i < last; ++i) weights[i] *= inv;
-                       });
+    for (double& w : weights) w *= inv;
   }
   return weights;
 }

@@ -10,8 +10,10 @@
 // compared in bench/ablation_estimators.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,15 +35,33 @@ std::vector<std::size_t> nearest_sample_draws(std::span<const std::int64_t> time
                                               std::int64_t window_end, std::size_t draws,
                                               Random& random);
 
+/// The Voronoi cell length (ms) of an equal-time run of samples at `time`:
+/// the part of [window_begin, window_end] nearer to it than to the runs at
+/// `previous` and `next` (std::nullopt: no sample on that side). Cell edges
+/// are the midpoints 0.5·(a+b), exact half-integer milliseconds while
+/// |times| < 2⁵², so a cell is an exact double and unchanged when every time
+/// shifts by the same whole number of milliseconds. The run's samples share
+/// the cell equally. Both voronoi_weights and the Voronoi U
+/// (core/unbiased.h) compute cells here; inline, as it runs once per row.
+inline double voronoi_cell(std::optional<std::int64_t> previous, std::int64_t time,
+                           std::optional<std::int64_t> next, double window_begin,
+                           double window_end) noexcept {
+  const double t = static_cast<double>(time);
+  const double left =
+      previous ? std::max(window_begin, 0.5 * (static_cast<double>(*previous) + t))
+               : window_begin;
+  const double right =
+      next ? std::min(window_end, 0.5 * (t + static_cast<double>(*next))) : window_end;
+  return std::max(0.0, right - left);
+}
+
 /// Exact selection probabilities of the nearest-sample procedure: weight[i] is
 /// the fraction of [window_begin, window_end) whose nearest sample is i, with
 /// exact ties (duplicate timestamps) sharing their cell equally. Weights sum
-/// to 1. `times` sorted ascending, non-empty; window must be non-empty.
-/// `threads` follows AutoSensOptions::threads (0 = hardware, 1 = serial);
-/// the result is byte-identical for every value (fixed chunk grid, cell
-/// totals merged in chunk order).
+/// to 1. `times` sorted ascending, non-empty; window must be non-empty. A
+/// serial pass: its callers weigh one small window at a time (the α
+/// fractions' class windows, core::add_window_unbiased).
 std::vector<double> voronoi_weights(std::span<const std::int64_t> times,
-                                    std::int64_t window_begin, std::int64_t window_end,
-                                    std::size_t threads = 1);
+                                    std::int64_t window_begin, std::int64_t window_end);
 
 }  // namespace autosens::stats

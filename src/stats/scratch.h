@@ -1,10 +1,11 @@
 // Reusable scratch buffers for allocation-free hot loops.
 //
-// The parallel estimators (biased fill, unbiased MC/Voronoi, α-normalized
-// fill) build one partial histogram — a `bin_count`-double buffer —
-// per chunk, and the bootstrap views materialize a times + latencies column
-// per replicate. Allocating those buffers fresh every time puts the allocator
-// on the hot path; this pool recycles them instead.
+// The parallel estimators (biased fill, Monte-Carlo U, per-window U) build
+// one partial histogram — a `bin_count`-double buffer — per chunk.
+// Allocating those buffers fresh every time puts the allocator on the hot
+// path; this pool recycles them instead. The pool is size-blind, so a
+// column-sized buffer given back would be handed to the next bin-sized
+// partial and stay parked: row-sized buffers are never given to it.
 //
 // Ownership model (see DESIGN.md "Data layout & memory model"): take() hands
 // the caller full ownership of a plain std::vector — the pool keeps no
@@ -15,6 +16,7 @@
 // unspecified and fully overwrite (or assign) it before reading.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <mutex>
 #include <span>
@@ -53,6 +55,15 @@ class ScratchPool {
   static std::size_t pooled_count() {
     std::lock_guard<std::mutex> lock(mutex());
     return buffers().size();
+  }
+
+  /// Largest capacity among the parked buffers (for tests: the pool should
+  /// hold bin-sized partials, never a column).
+  static std::size_t max_pooled_capacity() {
+    std::lock_guard<std::mutex> lock(mutex());
+    std::size_t largest = 0;
+    for (const auto& buffer : buffers()) largest = std::max(largest, buffer.capacity());
+    return largest;
   }
 
  private:

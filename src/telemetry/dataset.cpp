@@ -341,16 +341,15 @@ std::vector<ActionRecord> Dataset::records() const {
 
 namespace {
 
-/// out[i] = column[perm[i]], through a pooled scratch buffer.
+/// out[i] = column[perm[i]]. The old column is freed, not pooled: the
+/// scratch pool recycles bin-sized partials, never a column.
 template <typename T>
 void apply_permutation(std::vector<T>& column, std::span<const std::uint64_t> perm) {
-  std::vector<T> scratch = stats::ScratchPool<T>::take();
-  scratch.resize(column.size());
+  std::vector<T> sorted(column.size());
   for (std::size_t i = 0; i < column.size(); ++i) {
-    scratch[i] = column[static_cast<std::size_t>(perm[i])];
+    sorted[i] = column[static_cast<std::size_t>(perm[i])];
   }
-  column.swap(scratch);
-  stats::ScratchPool<T>::give(std::move(scratch));
+  column.swap(sorted);
 }
 
 }  // namespace

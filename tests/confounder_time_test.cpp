@@ -194,19 +194,21 @@ void expect_same_slots(const std::vector<SlotStat>& got, const std::vector<SlotS
 void expect_table_matches_rows(const telemetry::Dataset& dataset,
                                const AutoSensOptions& options, int draws) {
   const auto columns = dataset.columns();
-  const AlphaDayTable table(columns, options);
+  const DayTable table(columns, options);
   const auto days = day_ranges(columns.times);
   ASSERT_EQ(table.size(), days.size());
-  // The parent itself, every day drawn onto itself (the point estimate).
+  // The parent itself, every day keeping its own date (the point estimate).
   std::vector<std::size_t> every_day(days.size());
   for (std::size_t i = 0; i < every_day.size(); ++i) every_day[i] = i;
-  expect_same_slots(TimeNormalizer(DrawnDays{table, every_day}, columns, options).slots(),
-                    TimeNormalizer(columns, options).slots());
+  expect_same_slots(
+      TimeNormalizer(DrawnDays{.table = table, .drawn = every_day, .own_dates = true}, options)
+          .slots(),
+      TimeNormalizer(columns, options).slots());
   stats::Random random(31);
   for (int r = 0; r < draws; ++r) {
     const auto drawn = draw_days(days.size(), random);
     const auto resample = day_block_resample(columns, days, drawn);
-    const TimeNormalizer folded(DrawnDays{table, drawn}, resample.columns(), options);
+    const TimeNormalizer folded(DrawnDays{table, drawn}, options);
     const TimeNormalizer rows(resample.columns(), options);
     expect_same_slots(folded.slots(), rows.slots());
     if (::testing::Test::HasFailure()) {
@@ -420,22 +422,26 @@ TEST(AlphaDayTableTest, RejectsAMismatchedDraw) {
   const auto dataset = ragged_days_dataset(6);
   const auto columns = dataset.columns();
   const AutoSensOptions options;
-  const AlphaDayTable table(columns, options);
-  const auto days = day_ranges(columns.times);
+  const DayTable table(columns, options);
   stats::Random random(3);
-  const auto drawn = draw_days(days.size(), random);
-  const auto resample = day_block_resample(columns, days, drawn);
-  const std::vector<std::size_t> short_draw(drawn.begin(), drawn.end() - 1);
-  EXPECT_THROW(TimeNormalizer(DrawnDays{table, short_draw}, resample.columns(), options),
-               std::invalid_argument);
+  const auto drawn = draw_days(table.size(), random);
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, {}}, options), std::invalid_argument);
   std::vector<std::size_t> outside = drawn;
   outside[1] = table.size();
-  EXPECT_THROW(TimeNormalizer(DrawnDays{table, outside}, resample.columns(), options),
-               std::out_of_range);
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, outside}, options), std::out_of_range);
   AutoSensOptions other = options;
   other.alpha_slot_ms = 2 * kHour;
-  EXPECT_THROW(TimeNormalizer(DrawnDays{table, drawn}, resample.columns(), other),
+  EXPECT_THROW(TimeNormalizer(DrawnDays{table, drawn}, other), std::invalid_argument);
+  // Days keeping their own dates must stay in time order.
+  const std::vector<std::size_t> backwards = {1, 0};
+  EXPECT_THROW(TimeNormalizer(DrawnDays{.table = table, .drawn = backwards, .own_dates = true},
+                              options),
                std::invalid_argument);
+  // A table built for an analysis without α holds no α inputs.
+  AutoSensOptions raw = options;
+  raw.normalize_time_confounder = false;
+  const DayTable raw_table(columns, raw);
+  EXPECT_THROW(TimeNormalizer(DrawnDays{raw_table, drawn}, options), std::invalid_argument);
 }
 
 TEST(PeriodWindowsTest, CoverPeriodHours) {

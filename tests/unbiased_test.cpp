@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
+
+#include "core/confounder_time.h"
+#include "telemetry/clock.h"
 
 namespace autosens::core {
 namespace {
@@ -65,6 +69,53 @@ TEST(UnbiasedTest, MonteCarloMatchesVoronoi) {
     l1 += std::abs(pdf_v[i] - pdf_mc[i]) * options.bin_width_ms;
   }
   EXPECT_LT(l1, 0.05);  // total variation distance small at 50k draws
+}
+
+TEST(UnbiasedTest, CellSumsAreExactDoubledCellLengths) {
+  // Without equal-time runs every weight is a half-integer cell, so each
+  // bin's sum is exact: twice it equals the int64 sum of doubled cell
+  // lengths (t[i-1] + t[i] to t[i] + t[i+1], clipped to the doubled window),
+  // whatever order the blocks, days and boundary runs were added in.
+  constexpr std::int64_t kDay = telemetry::kMillisPerDay;
+  std::vector<std::int64_t> times;
+  std::vector<double> latencies;
+  stats::Random random(11);
+  std::int64_t t = 19'000 * kDay + 5 * telemetry::kMillisPerHour;
+  while (t < 19'005 * kDay) {
+    t += 1 + static_cast<std::int64_t>(random.exponential(1.0 / 60'000.0));
+    if ((t / kDay) % 5 == 2) t += kDay;  // An empty day between two others.
+    times.push_back(t);
+    latencies.push_back(random.uniform() * 1200.0);
+  }
+  const TimeWindow window{.begin_ms = times.front() - 777, .end_ms = times.back() + 1};
+  const auto options = small_options();
+  const auto ranges = day_ranges(times);
+  std::vector<stats::Histogram> interiors;
+  std::vector<VoronoiDay> days;
+  interiors.reserve(ranges.size());
+  for (const auto& range : ranges) {
+    const telemetry::SampleColumns rows{
+        std::span<const std::int64_t>(times).subspan(range.first, range.last - range.first),
+        std::span<const double>(latencies).subspan(range.first, range.last - range.first)};
+    interiors.push_back(unbiased_interior(rows, window, options));
+    days.push_back({.rows = rows, .shift = 0, .interior = &interiors.back()});
+  }
+  ASSERT_GE(days.size(), 3u);
+  const auto sums = unbiased_cell_sums(days, window, options);
+  std::vector<std::int64_t> doubled(sums.size(), 0);
+  const std::size_t n = times.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t left = i == 0 ? 2 * window.begin_ms : times[i - 1] + times[i];
+    const std::int64_t right = i + 1 == n ? 2 * window.end_ms : times[i] + times[i + 1];
+    doubled[sums.bin_index(latencies[i])] += right - left;
+  }
+  for (std::size_t b = 0; b < sums.size(); ++b) {
+    ASSERT_EQ(2.0 * sums.count(b), static_cast<double>(doubled[b])) << "bin " << b;
+  }
+  // U is those sums scaled once by 1 / window length.
+  auto scaled = sums;
+  scaled.scale(1.0 / static_cast<double>(window.length()));
+  EXPECT_TRUE(bitwise_equal(scaled, unbiased_histogram_voronoi(times, latencies, window, options)));
 }
 
 TEST(UnbiasedTest, SizeMismatchThrows) {
